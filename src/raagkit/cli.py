@@ -31,6 +31,7 @@ from .recovery import (
     search_coalgebra,
 )
 from .words import (
+    Word,
     canonical_form,
     central_form,
     commutes,
@@ -55,9 +56,7 @@ def cmd_nf(args) -> int:
     graph = fileio.load_graph(args.graph)
     w = parse_word(graph, args.word)
     if args.central:
-        blocks = central_form(w).blocks
-        texts = [" ".join(s.gen if s.exp == 1 else f"{s.gen}^{s.exp}" for s in b)
-                 for b in blocks]
+        texts = [word_text(Word(graph, b)) for b in central_form(w).blocks]
         if args.json:
             _emit({"blocks": texts})
         else:
@@ -102,19 +101,17 @@ def _generator_table(path: str) -> dict:
     return data
 
 
+def _structure_map(coalg_path, graph_path, flag: str):
+    if coalg_path:
+        return fileio.load_coalgebra(coalg_path)
+    if graph_path:
+        return canonical_coalgebra(fileio.load_graph(graph_path))
+    raise RaagError(f"need {flag} or {flag}-coalg")
+
+
 def cmd_is_cohom(args) -> int:
-    if args.src_coalg:
-        c_src = fileio.load_coalgebra(args.src_coalg)
-    elif args.src:
-        c_src = canonical_coalgebra(fileio.load_graph(args.src))
-    else:
-        raise RaagError("need --src or --src-coalg")
-    if args.dst_coalg:
-        c_dst = fileio.load_coalgebra(args.dst_coalg)
-    elif args.dst:
-        c_dst = canonical_coalgebra(fileio.load_graph(args.dst))
-    else:
-        raise RaagError("need --dst or --dst-coalg")
+    c_src = _structure_map(args.src_coalg, args.src, "--src")
+    c_dst = _structure_map(args.dst_coalg, args.dst, "--dst")
     table = _generator_table(args.hom)
     images = {name: parse_word(c_dst.group.graph, text)
               for name, text in table.items()}
@@ -173,9 +170,7 @@ def cmd_equalizer_test(args) -> int:
     alpha = fileio.load_hom(args.alpha)
     beta = fileio.load_hom(args.beta)
     rho = fileio.load_hom(args.rho)
-    if (alpha.source != beta.source or alpha.target != beta.target
-            or rho.source != alpha.target or rho.target != alpha.source
-            or not is_coreflexive_pair(alpha, beta, rho)):
+    if not is_coreflexive_pair(alpha, beta, rho):
         print("error: not a coreflexive pair", file=sys.stderr)
         return 2
     theta, _ = equalizer(alpha, beta)

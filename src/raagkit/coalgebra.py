@@ -10,6 +10,7 @@ group homomorphism that intertwines the structure maps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -186,11 +187,6 @@ def check_coassociativity(c: CoalgebraMap) -> tuple[bool, str | None]:
     return _coassociativity_holds(c)
 
 
-# Structure maps that already passed the full axiom check; consulted by the
-# cohomomorphism test so repeated checks against the same coalgebras are cheap.
-_VERIFIED: set[CoalgebraMap] = set()
-
-
 def check_coalgebra(c: CoalgebraMap, relators: Iterable | None = None) -> CoalgebraVerdict:
     """Run the three axioms in order, reporting the first failure.
 
@@ -198,25 +194,37 @@ def check_coalgebra(c: CoalgebraMap, relators: Iterable | None = None) -> Coalge
     from tables), pass the presentation's relators; preserving them is the
     homomorphism check in that case.
     """
-    if relators is not None:
-        ok, witness = _relators_preserved(c, relators)
-        if not ok:
-            return CoalgebraVerdict(False, "homomorphism", witness)
-    elif hasattr(c.group, "graph"):
-        ok, witness = is_homomorphism_to_acg(c)
-        if not ok:
-            return CoalgebraVerdict(False, "homomorphism", witness)
-    else:
+    if relators is None:
+        return _graph_verdict(c)
+    ok, witness = _relators_preserved(c, relators)
+    if not ok:
+        return CoalgebraVerdict(False, "homomorphism", witness)
+    return _comonad_verdict(c)
+
+
+# Verdicts of the check against the group's own graph, which is also the one
+# is_cohomomorphism needs, so a structure map already checked is not checked
+# again there.
+_VERDICT_CACHE_SIZE = 10_000
+
+
+@functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _graph_verdict(c: CoalgebraMap) -> CoalgebraVerdict:
+    if not hasattr(c.group, "graph"):
         raise NotACoalgebra("no presentation graph and no relators to check against")
+    ok, witness = is_homomorphism_to_acg(c)
+    if not ok:
+        return CoalgebraVerdict(False, "homomorphism", witness)
+    return _comonad_verdict(c)
+
+
+def _comonad_verdict(c: CoalgebraMap) -> CoalgebraVerdict:
     ok, witness = _counit_holds(c)
     if not ok:
         return CoalgebraVerdict(False, "counit", witness)
     ok, witness = _coassociativity_holds(c)
     if not ok:
         return CoalgebraVerdict(False, "coassociativity", witness)
-    if len(_VERIFIED) > 10_000:
-        _VERIFIED.clear()
-    _VERIFIED.add(c)
     return CoalgebraVerdict(True)
 
 
@@ -226,9 +234,7 @@ def is_cohomomorphism(f: GroupHom, c_src: CoalgebraMap,
     if f.source != c_src.group or f.target != c_dst.group:
         raise EndsMismatch("hom ends do not match the structured groups")
     for c in (c_src, c_dst):
-        if c in _VERIFIED:
-            continue
-        verdict = check_coalgebra(c)
+        verdict = _graph_verdict(c)
         if not verdict.ok:
             raise NotACoalgebra(verdict.describe())
     for name, el in f.source.generator_items():

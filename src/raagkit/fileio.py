@@ -5,7 +5,7 @@ Graph files carry ``vertices`` and ``edges``.  Hom files carry ``source``,
 paths (resolved relative to the referencing file).  Coalgebra files carry
 ``group`` and ``images``; the group is a graph, a path to one, or a handle
 description with its own generating set.  Presentation files carry
-``generators`` and ``relators``; matrix files are arrays of integer arrays.
+``generators`` and ``relators``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .coalgebra import CoalgebraMap, make_coalgebra
 from .errors import RaagError
 from .functors import ac_text, handle_with_generators, raag_of_graph
 from .graphs import Graph, GraphHom, validate_graph, validate_hom
-from .recovery import FinitePresentation, presentation, validate_matrix
+from .recovery import FinitePresentation, presentation
 from .words import word_text
 
 
@@ -38,6 +38,12 @@ def _field(data, name: str, where: str):
 def graph_from_data(data) -> Graph:
     vertices = _field(data, "vertices", "graph")
     edges = _field(data, "edges", "graph")
+    if not isinstance(vertices, list):
+        raise RaagError("graph: 'vertices' must be an array of names")
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
+            for e in edges):
+        raise RaagError("graph: 'edges' must be an array of name pairs")
     return validate_graph(vertices, edges)
 
 
@@ -50,12 +56,6 @@ def graph_data(graph: Graph) -> dict:
 
 def load_graph(path: str) -> Graph:
     return graph_from_data(_load_json(path))
-
-
-def save_graph(graph: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_data(graph), fh, indent=2)
-        fh.write("\n")
 
 
 def _resolve_graph(field, base_dir: str, where: str) -> Graph:
@@ -75,14 +75,6 @@ def load_hom(path: str) -> GraphHom:
     if not isinstance(table, dict):
         raise RaagError(f"{path}: 'map' must be an object vertex -> vertex")
     return validate_hom(src, dst, table)
-
-
-def hom_data(f: GraphHom) -> dict:
-    return {
-        "source": graph_data(f.source),
-        "target": graph_data(f.target),
-        "map": {v: f(v) for v in f.source.vertices},
-    }
 
 
 def _resolve_group(field, base_dir: str, where: str):
@@ -141,7 +133,3 @@ def load_presentation(path: str) -> FinitePresentation:
     if not isinstance(rels, list):
         raise RaagError(f"{path}: 'relators' must be an array of word texts")
     return presentation(gens, rels)
-
-
-def load_matrix(path: str) -> list[list[int]]:
-    return validate_matrix(_load_json(path))

@@ -15,6 +15,7 @@ coassociativity diagnostics) run through the same code path.
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .errors import (
     WordSyntaxError,
     ZeroExponent,
 )
-from .graphs import Graph, GraphHom, validate_graph, validate_hom
+from .graphs import _NAME_RE, Graph, GraphHom, validate_graph, validate_hom
 from .words import Word
 
 _EXPRESSION_RADIUS_CAP = 8
@@ -49,6 +50,14 @@ class GroupHandle:
 
     graph: Graph
     exposed: tuple[tuple[str, Word], ...]
+
+    def __hash__(self) -> int:
+        # Every symbol word over this handle hashes it, so keep the value.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.graph, self.exposed))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- structure ----------------------------------------------------------
 
@@ -137,7 +146,7 @@ def handle_with_generators(graph: Graph,
     """
     exposed = []
     for name in generators:
-        if not re.match(r"[A-Za-z0-9_]+\Z", name):
+        if not _NAME_RE.match(name):
             raise WordSyntaxError(f"bad generator name {name!r}")
         el = generators[name]
         if isinstance(el, str):
@@ -151,52 +160,58 @@ def handle_with_generators(graph: Graph,
     return GroupHandle(graph, tuple(exposed))
 
 
-# Vertex-expression cache: handle -> {vertex name: factor sequence over exposed
-# names}.  Filled by bounded breadth-first search over exposed products.
-_VEXPR: dict[GroupHandle, dict[str, tuple[tuple[str, int], ...]]] = {}
+def _spheres(group, steps):
+    """Breadth-first search from the identity: yield the sphere of each radius
+    in turn, as a list of (element, key, expression) in discovery order.
+
+    ``steps`` lists (name, element, sign) moves, tried in that order from each
+    element of the previous sphere; an element's expression is the sequence of
+    (name, sign) moves along the first path that reached it.
+    """
+    ident = group.identity()
+    sphere = [(ident, group.key(ident), ())]
+    seen = {sphere[0][1]}
+    while sphere:
+        yield sphere
+        nxt = []
+        for el, _, expr in sphere:
+            for name, step, sign in steps:
+                nel = group.multiply(el, step)
+                k = group.key(nel)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append((nel, k, expr + ((name, sign),)))
+        sphere = nxt
 
 
+# Vertex expressions per handle: a bounded search that every rewrite of an
+# obfuscated handle's elements needs.
+_VEXPR_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_VEXPR_CACHE_SIZE)
 def _vertex_expressions(handle: GroupHandle) -> dict[str, tuple[tuple[str, int], ...]]:
-    got = _VEXPR.get(handle)
-    if got is not None:
-        return got
     graph = handle.graph
     wanted = {W.canonical_key(Word(graph, (W.Syllable(v, 1),))): v
               for v in graph.vertices}
     found: dict[str, tuple[tuple[str, int], ...]] = {}
-    seen = {W.canonical_key(handle.identity())}
-    frontier: list[tuple[Word, tuple[tuple[str, int], ...]]] = [(handle.identity(), ())]
     steps = [(name, el, 1) for name, el in handle.exposed]
     steps += [(name, W.invert(el), -1) for name, el in handle.exposed]
-    radius = 0
-    while frontier and len(found) < len(wanted):
-        radius += 1
-        if radius > _EXPRESSION_RADIUS_CAP or len(seen) > _EXPRESSION_STATE_CAP:
-            missing = sorted(set(graph.vertices) - set(found))
-            raise SearchSpaceTooLarge(
-                f"could not express vertices {missing} in the exposed generators"
-            )
-        nxt: list[tuple[Word, tuple[tuple[str, int], ...]]] = []
-        for el, expr in frontier:
-            for name, gel, sgn in steps:
-                nel = W.multiply(el, gel)
-                k = W.canonical_key(nel)
-                if k in seen:
-                    continue
-                seen.add(k)
-                nexpr = expr + ((name, sgn),)
-                nxt.append((nel, nexpr))
-                v = wanted.get(k)
-                if v is not None and v not in found:
-                    found[v] = nexpr
-        frontier = nxt
-    if len(found) < len(wanted):
-        missing = sorted(set(graph.vertices) - set(found))
-        raise SearchSpaceTooLarge(
-            f"could not express vertices {missing} in the exposed generators"
-        )
-    _VEXPR[handle] = found
-    return found
+    states = 0
+    for radius, sphere in enumerate(_spheres(handle, steps)):
+        for _, k, expr in sphere:
+            v = wanted.get(k)
+            if v is not None:
+                found[v] = expr
+        if len(found) == len(wanted):
+            return found
+        states += len(sphere)
+        if radius == _EXPRESSION_RADIUS_CAP or states > _EXPRESSION_STATE_CAP:
+            break
+    missing = sorted(set(graph.vertices) - set(found))
+    raise SearchSpaceTooLarge(
+        f"could not express vertices {missing} in the exposed generators"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +412,25 @@ def ac_map_symbols(a: ACWord, fn: Callable, new_base) -> ACWord:
 # Commutation graphs and equality
 # ---------------------------------------------------------------------------
 
-def _sanitize(text: str) -> str:
-    name = re.sub(r"[^A-Za-z0-9_]", "_", text)
-    return name or "e"
+def _sanitize(texts: Iterable[str]) -> list[str]:
+    """Distinct vertex names for the given texts, in order: characters outside
+    ``[A-Za-z0-9_]`` become '_', the empty text becomes 'e', and a name already
+    taken gets '_' appended until it is new."""
+    names: list[str] = []
+    for text in texts:
+        name = re.sub(r"[^A-Za-z0-9_]", "_", text) or "e"
+        while name in names:
+            name += "_"
+        names.append(name)
+    return names
 
 
-# Cache of localized commutation graphs keyed by (base, canonical keys).
-_CGRAPH: dict[tuple, tuple[Graph, dict, dict]] = {}
+def _commuting_graph(group, names: list[str], elements: list) -> Graph:
+    """The graph on the given vertex names, adjacent where the elements commute."""
+    n = len(names)
+    return validate_graph(names, [(names[i], names[j]) for i in range(n)
+                                  for j in range(i + 1, n)
+                                  if group.commutes(elements[i], elements[j])])
 
 
 def _commutation_graph(base, elements) -> tuple[Graph, dict, dict]:
@@ -411,34 +438,23 @@ def _commutation_graph(base, elements) -> tuple[Graph, dict, dict]:
     for el in elements:
         c = base.canonical(el)
         canon.setdefault(base.key(c), c)
-    cache_key = (base, tuple(sorted(canon, key=repr)))
-    got = _CGRAPH.get(cache_key)
-    if got is not None:
-        return got
-    if len(_CGRAPH) > 30_000:
-        _CGRAPH.clear()
-    items = sorted(((base.text(c), k, c) for k, c in canon.items()),
+    keys = sorted(canon, key=repr)
+    return _named_commutation_graph(base, tuple((k, canon[k]) for k in keys))
+
+
+# Localized commutation graphs, keyed by the base and the (key, canonical
+# element) pairs of their vertices: symbol words over the same symbols share one.
+_CGRAPH_CACHE_SIZE = 30_000
+
+
+@functools.lru_cache(maxsize=_CGRAPH_CACHE_SIZE)
+def _named_commutation_graph(base, canon: tuple) -> tuple[Graph, dict, dict]:
+    items = sorted(((base.text(c), k, c) for k, c in canon),
                    key=lambda t: (t[0], repr(t[1])))
-    used: set[str] = set()
-    named = []
-    for text, k, c in items:
-        name = _sanitize(text)
-        while name in used:
-            name += "_"
-        used.add(name)
-        named.append((name, k, c))
-    vertices = [name for name, _, _ in named]
-    edges = []
-    for i in range(len(named)):
-        for j in range(i + 1, len(named)):
-            if base.commutes(named[i][2], named[j][2]):
-                edges.append((named[i][0], named[j][0]))
-    graph = validate_graph(vertices, edges)
-    labeling = {name: c for name, _, c in named}
-    name_by_key = {k: name for name, k, _ in named}
-    out = (graph, labeling, name_by_key)
-    _CGRAPH[cache_key] = out
-    return out
+    names = _sanitize(text for text, _, _ in items)
+    elements = [c for _, _, c in items]
+    name_by_key = {k: name for name, (_, k, _) in zip(names, items)}
+    return _commuting_graph(base, names, elements), dict(zip(names, elements)), name_by_key
 
 
 def commutation_graph(base, elements) -> tuple[Graph, dict]:
@@ -561,7 +577,7 @@ def parse_ac_word(base, text: str) -> ACWord:
         pos = close + 1
         exp = 1
         if pos < n and text[pos] == "^":
-            m = re.match(r"\^(-?\d+)", text[pos:])
+            m = re.match(W._EXPONENT, text[pos:])
             if not m:
                 raise WordSyntaxError(f"bad exponent at position {pos}")
             exp = int(m.group(1))

@@ -9,6 +9,7 @@ images generator by generator.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from . import words as W
@@ -78,15 +79,12 @@ def bf_equals(graph: Graph, w1: Word, w2: Word) -> bool:
 
 
 # Hom lists are reused across many oracle queries on the same graph pair.
-_HOMS: dict[tuple[Graph, Graph], list[GraphHom]] = {}
+_HOMS_CACHE_SIZE = 64
 
 
+@functools.lru_cache(maxsize=_HOMS_CACHE_SIZE)
 def _homs(src: Graph, dst: Graph) -> list[GraphHom]:
-    got = _HOMS.get((src, dst))
-    if got is None:
-        got = enumerate_homs(src, dst)
-        _HOMS[(src, dst)] = got
-    return got
+    return enumerate_homs(src, dst)
 
 
 def bf_is_a_phi(f: GroupHom, src: Graph, dst: Graph) -> GraphHom | None:

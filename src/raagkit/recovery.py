@@ -10,7 +10,6 @@ a statement about the budget, never about nonexistence.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -21,7 +20,17 @@ from .errors import (
     UnknownGenerator,
     WordSyntaxError,
 )
-from .functors import ACSymbol, ACWord, _normalize_letters, ac_equals, ac_key, ac_text
+from .functors import (
+    ACSymbol,
+    ACWord,
+    _commuting_graph,
+    _normalize_letters,
+    _sanitize,
+    _spheres,
+    ac_equals,
+    ac_key,
+    ac_text,
+)
 from .graphs import Graph, validate_graph
 from .words import Word
 
@@ -177,27 +186,13 @@ def commutator_presentation(graph: Graph) -> FinitePresentation:
 # ---------------------------------------------------------------------------
 
 def _elements_with_depth(group, max_length: int) -> Iterator[tuple[object, int]]:
-    ident = group.identity()
-    seen = {group.key(ident)}
-    yield ident, 0
-    frontier = [ident]
-    steps = []
-    for _, el in group.generator_items():
-        steps.append(el)
-        steps.append(group.invert(el))
-    for depth in range(1, max_length + 1):
-        fresh = []
-        for el in frontier:
-            for st in steps:
-                nel = group.multiply(el, st)
-                k = group.key(nel)
-                if k not in seen:
-                    seen.add(k)
-                    fresh.append(nel)
-        fresh.sort(key=group.sort_key)
-        for el in fresh:
+    steps = [step for name, el in group.generator_items()
+             for step in ((name, el, 1), (name, group.invert(el), -1))]
+    for depth, sphere in enumerate(_spheres(group, steps)):
+        for el in sorted((el for el, _, _ in sphere), key=group.sort_key):
             yield el, depth
-        frontier = fresh
+        if depth >= max_length:
+            return
 
 
 def enumerate_elements(group, max_length: int) -> Iterator:
@@ -233,33 +228,15 @@ def find_vertices(c: CoalgebraMap, rank: int, max_length: int) -> list:
     )
 
 
-def _sanitize(text: str) -> str:
-    name = re.sub(r"[^A-Za-z0-9_]", "_", text)
-    return name or "e"
-
-
 def recover_graph(c: CoalgebraMap, rank: int, max_length: int) -> tuple[Graph, dict]:
     """Rebuild the presentation graph: recovered vertices, commuting as edges.
 
     Returns the graph and a labeling from vertex names to group elements.
     """
     group = c.group
-    elements = find_vertices(c, rank, max_length)
-    named = []
-    used: set[str] = set()
-    for el in sorted(elements, key=group.text):
-        name = _sanitize(group.text(el))
-        while name in used:
-            name += "_"
-        used.add(name)
-        named.append((name, el))
-    edges = []
-    for i in range(len(named)):
-        for j in range(i + 1, len(named)):
-            if group.commutes(named[i][1], named[j][1]):
-                edges.append((named[i][0], named[j][0]))
-    graph = validate_graph([n for n, _ in named], edges)
-    return graph, dict(named)
+    elements = sorted(find_vertices(c, rank, max_length), key=group.text)
+    names = _sanitize(map(group.text, elements))
+    return _commuting_graph(group, names, elements), dict(zip(names, elements))
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +376,12 @@ class FiniteTableGroup:
         if any(v is None for v in self._inverse):
             raise ValueError("table has a non-invertible element")
         self.generators = list(generators)
-        self._expressions = self._expand_expressions()
-
-    def _expand_expressions(self):
-        exprs = {self._identity: ()}
-        frontier = [self._identity]
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for name, g in self.generators:
-                    for ge, sgn in ((g, 1), (self._inverse[g], -1)):
-                        nel = self.table[el][ge]
-                        if nel not in exprs:
-                            exprs[nel] = exprs[el] + ((name, sgn),)
-                            nxt.append(nel)
-            frontier = nxt
-        if len(exprs) != len(self.names):
+        steps = [step for name, g in self.generators
+                 for step in ((name, g, 1), (name, self._inverse[g], -1))]
+        self._expressions = {el: expr for sphere in _spheres(self, steps)
+                             for el, _, expr in sphere}
+        if len(self._expressions) != n:
             raise ValueError("generators do not generate the table group")
-        return exprs
 
     # -- handle protocol ----------------------------------------------------
 
@@ -464,7 +429,7 @@ class FiniteTableGroup:
         acc = self._identity
         index = {name: i for i, name in enumerate(self.names)}
         for token in text.split():
-            m = re.match(r"([A-Za-z0-9_]+)(?:\^(-?\d+))?\Z", token)
+            m = W._TOKEN_RE.match(token)
             if not m or m.group(1) not in index:
                 raise WordSyntaxError(f"bad element token {token!r}")
             exp = 1 if m.group(2) is None else int(m.group(2))

@@ -18,6 +18,7 @@ their syllables sorted by vertex order.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -61,16 +62,12 @@ class CentralForm:
 
 
 # Per-graph working context: vertex indices plus a dense reflexive adjacency
-# table, keyed by the (hashable, immutable) graph.
-_CTX: dict[Graph, tuple[dict[str, int], list[list[bool]]]] = {}
+# table.  Every canonical-form call needs it, and graphs are immutable.
+_CTX_CACHE_SIZE = 50_000
 
 
+@functools.lru_cache(maxsize=_CTX_CACHE_SIZE)
 def _ctx(graph: Graph) -> tuple[dict[str, int], list[list[bool]]]:
-    got = _CTX.get(graph)
-    if got is not None:
-        return got
-    if len(_CTX) > 50_000:
-        _CTX.clear()
     index = graph.vertex_index
     n = len(graph.vertices)
     adj = [[False] * n for _ in range(n)]
@@ -80,11 +77,15 @@ def _ctx(graph: Graph) -> tuple[dict[str, int], list[list[bool]]]:
         i, j = index[u], index[v]
         adj[i][j] = True
         adj[j][i] = True
-    _CTX[graph] = (index, adj)
     return index, adj
 
 
-_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)(?:\^(-?\d+))?\Z")
+# An exponent, as every parser reads it: ASCII digits only (``\d`` also
+# matches other scripts' digits), and few enough of them that int() stays far
+# inside its string-length limit.
+_MAX_EXPONENT_DIGITS = 100
+_EXPONENT = rf"\^(-?[0-9]{{1,{_MAX_EXPONENT_DIGITS}}})(?![0-9])"
+_TOKEN_RE = re.compile(rf"([A-Za-z0-9_]+)(?:{_EXPONENT})?\Z")
 
 
 def parse_word(graph: Graph, text: str) -> Word:

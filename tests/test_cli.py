@@ -1,7 +1,13 @@
 """End-to-end runs of the raag command line against files on disk."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import raagkit
 from raagkit.cli import main
 
 SQUARE = {"vertices": ["a", "b", "c", "d"],
@@ -58,6 +64,23 @@ def test_eq_unknown_generator_is_an_error(write_json, capsys):
     g = write_json("g.json", SQUARE)
     assert main(["eq", "--graph", g, "q", "a"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("graph, word", [
+    ({"vertices": ["a", "b"], "edges": [["a"]]}, "a"),
+    ({"vertices": 5, "edges": []}, "a"),
+    (SQUARE, "a^" + "1" * 5000),
+    (SQUARE, "a^\u0663"),
+], ids=["edge_arity", "vertices_not_list", "huge_exponent", "non_ascii_digit"])
+def test_malformed_input_exits_2_without_traceback(write_json, graph, word):
+    g = write_json("g.json", graph)
+    src = os.path.dirname(os.path.dirname(raagkit.__file__))
+    proc = subprocess.run([sys.executable, "-m", "raagkit.cli", "nf", "--graph", g, word],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_is_an_error(capsys):

@@ -22,6 +22,7 @@ from raagkit import (
     raag_of_graph,
     validate_hom,
 )
+from raagkit.coalgebra import _graph_verdict
 
 ONE_V = CORPUS["one"]
 ONE_W = graph("w")
@@ -150,6 +151,16 @@ def test_identity_is_a_cohomomorphism():
     f = a_on_hom(validate_hom(SQUARE, SQUARE, {v: v for v in SQUARE.vertices}))
     ok, _ = is_cohomomorphism(f, c, c)
     assert ok
+
+
+def test_cohomomorphism_does_not_recheck_a_checked_coalgebra():
+    c = canonical_coalgebra(CORPUS["paw"])
+    assert check_coalgebra(c).ok
+    f = a_on_hom(validate_hom(c.group.graph, c.group.graph,
+                              {v: v for v in c.group.graph.vertices}))
+    hits = _graph_verdict.cache_info().hits
+    assert is_cohomomorphism(f, c, c)[0]
+    assert _graph_verdict.cache_info().hits == hits + 2
 
 
 def test_identity_on_transported_coalgebra():

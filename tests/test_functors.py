@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
+
+import raagkit
 
 from corpus import CORPUS, SQUARE, graph
 from raagkit import (
@@ -76,6 +80,16 @@ def test_obfuscated_rewrite_round_trips():
         for name, exp in expr:
             acc = multiply(acc, h.power(exposed[name], exp))
         assert equals(acc, target)
+
+
+def test_obfuscated_rewrite_keeps_first_expression_found():
+    # Breadth-first over all exposed generators, then all their inverses.
+    h = handle_with_generators(SQUARE, {"x": "a", "y": "b", "z": "c", "w": "d a"})
+    assert h.rewrite_in_generators(parse_word(SQUARE, "d")) == (("w", 1), ("x", -1))
+    h = handle_with_generators(SQUARE, {"x": "a b", "y": "b", "z": "c", "w": "d a"})
+    assert h.rewrite_in_generators(parse_word(SQUARE, "a")) == (("x", 1), ("y", -1))
+    assert h.rewrite_in_generators(parse_word(SQUARE, "d")) == (
+        ("y", 1), ("x", -1), ("w", 1))
 
 
 def test_rewrite_fails_when_generators_do_not_generate():
@@ -189,6 +203,12 @@ def test_parse_ac_word_round_trip():
 def test_parse_ac_word_rejects_nesting():
     with pytest.raises(WordSyntaxError):
         parse_ac_word(HW, "[[w]]")
+
+
+def test_parse_ac_word_exponents_are_bounded_ascii_digits():
+    for text in ("[w]^\u0663", "[w]^" + "1" * 5000, "[w^\u0663]"):
+        with pytest.raises(WordSyntaxError):
+            parse_ac_word(HW, text)
 
 
 def test_ac_equals_separates_powers():
@@ -346,3 +366,16 @@ def test_adjacency_matches_commutation_everywhere():
                     continue
                 wu, wv = parse_word(g, u), parse_word(g, v)
                 assert adjacent(g, u, v) == commutes(wu, wv)
+
+
+# -- module caches -----------------------------------------------------------
+
+def test_module_caches_are_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(raagkit.__path__):
+        module = importlib.import_module(f"raagkit.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_info"):
+                caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    assert len(caches) == 5, caches
+    assert all(size is not None for size in caches.values()), caches

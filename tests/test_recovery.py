@@ -247,6 +247,21 @@ def test_table_group_operations():
         assert acc == el
 
 
+def test_table_group_rewrite_tries_each_generator_then_its_inverse():
+    z3 = FiniteTableGroup(["e", "g", "h"],
+                          [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                          [("g", 1), ("h", 2)])
+    assert z3.rewrite_in_generators(2) == (("g", -1),)
+
+
+def test_table_group_exponents_are_bounded_ascii_digits():
+    z2 = FiniteTableGroup(["e", "g"], [[0, 1], [1, 0]], [("g", 1)])
+    assert z2.parse_element("g^3") == 1
+    for text in ("g^\u0663", "g^" + "1" * 5000):
+        with pytest.raises(WordSyntaxError):
+            z2.parse_element(text)
+
+
 def test_table_group_rejects_non_group_table():
     with pytest.raises(ValueError):
         FiniteTableGroup(["a", "b"], [[0, 0], [0, 0]], [("a", 0)])

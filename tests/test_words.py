@@ -26,6 +26,7 @@ from raagkit import (
     word_from_pairs,
     word_text,
 )
+from raagkit.words import _MAX_EXPONENT_DIGITS
 
 
 def w(graph, text):
@@ -60,6 +61,14 @@ def test_parse_errors():
         w(SQUARE, "a^")
     with pytest.raises(WordSyntaxError):
         w(SQUARE, "a^b")
+
+
+def test_parse_exponents_are_bounded_ascii_digits():
+    longest = "9" * _MAX_EXPONENT_DIGITS
+    assert w(SQUARE, f"a^-{longest}").syllables == (Syllable("a", -int(longest)),)
+    for text in ("a^\u0663", "a^1" + "0" * _MAX_EXPONENT_DIGITS, "a^" + "1" * 5000):
+        with pytest.raises(WordSyntaxError):
+            w(SQUARE, text)
 
 
 def test_word_text_round_trip():
