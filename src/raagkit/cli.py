@@ -96,9 +96,7 @@ def _generator_table(path: str) -> dict:
     data = fileio._load_json(path)
     if isinstance(data, dict) and isinstance(data.get("map"), dict):
         data = data["map"]
-    if not isinstance(data, dict):
-        raise RaagError(f"{path}: expected an object generator -> word")
-    return data
+    return fileio._texts(data, dict, f"{path}: expected an object generator -> word")
 
 
 def _structure_map(coalg_path, graph_path, flag: str):

@@ -35,6 +35,15 @@ def _field(data, name: str, where: str):
     return data[name]
 
 
+def _texts(value, kind: type, message: str):
+    """value, if it is a JSON array (kind list) or object (kind dict) whose
+    entries are all strings; otherwise RaagError(message)."""
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or not all(isinstance(x, str) for x in items):
+        raise RaagError(message)
+    return value
+
+
 def graph_from_data(data) -> Graph:
     vertices = _field(data, "vertices", "graph")
     edges = _field(data, "edges", "graph")
@@ -71,9 +80,8 @@ def load_hom(path: str) -> GraphHom:
     base = os.path.dirname(os.path.abspath(path))
     src = _resolve_graph(_field(data, "source", path), base, f"{path} source")
     dst = _resolve_graph(_field(data, "target", path), base, f"{path} target")
-    table = _field(data, "map", path)
-    if not isinstance(table, dict):
-        raise RaagError(f"{path}: 'map' must be an object vertex -> vertex")
+    table = _texts(_field(data, "map", path), dict,
+                   f"{path}: 'map' must be an object vertex -> vertex")
     return validate_hom(src, dst, table)
 
 
@@ -87,9 +95,8 @@ def _resolve_group(field, base_dir: str, where: str):
         generators = field.get("generators")
         if generators is None:
             return raag_of_graph(graph)
-        if not isinstance(generators, dict):
-            raise RaagError(f"{where}: 'generators' must map names to words")
-        return handle_with_generators(graph, generators)
+        return handle_with_generators(graph, _texts(
+            generators, dict, f"{where}: 'generators' must map names to words"))
     raise RaagError(f"{where}: cannot interpret the 'group' field")
 
 
@@ -104,9 +111,8 @@ def load_coalgebra(path: str) -> CoalgebraMap:
     data = _load_json(path)
     base = os.path.dirname(os.path.abspath(path))
     group = _resolve_group(_field(data, "group", path), base, f"{path} group")
-    images = _field(data, "images", path)
-    if not isinstance(images, dict):
-        raise RaagError(f"{path}: 'images' must map generators to symbol words")
+    images = _texts(_field(data, "images", path), dict,
+                    f"{path}: 'images' must map generators to symbol words")
     return make_coalgebra(group, images)
 
 
@@ -128,8 +134,8 @@ def coalgebra_data(c: CoalgebraMap) -> dict:
 
 def load_presentation(path: str) -> FinitePresentation:
     data = _load_json(path)
-    gens = _field(data, "generators", path)
-    rels = _field(data, "relators", path)
-    if not isinstance(rels, list):
-        raise RaagError(f"{path}: 'relators' must be an array of word texts")
+    gens = _texts(_field(data, "generators", path), list,
+                  f"{path}: 'generators' must be an array of names")
+    rels = _texts(_field(data, "relators", path), list,
+                  f"{path}: 'relators' must be an array of word texts")
     return presentation(gens, rels)

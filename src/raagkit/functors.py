@@ -397,6 +397,9 @@ def ac_invert(a: ACWord) -> ACWord:
 def ac_power(a: ACWord, k: int) -> ACWord:
     if k == 0:
         return ACWord(a.base, ())
+    if len(a.letters) == 1:
+        sym, exp = a.letters[0]
+        return ACWord(a.base, ((sym, exp * k),))
     chunk = a.letters if k > 0 else ac_invert(a).letters
     return ACWord(a.base, _normalize_letters(chunk * abs(k)))
 

@@ -415,7 +415,8 @@ class FiniteTableGroup:
     def power(self, el: int, k: int) -> int:
         base = el if k >= 0 else self._inverse[el]
         acc = self._identity
-        for _ in range(abs(k)):
+        # Every element's order divides the group's.
+        for _ in range(abs(k) % len(self.names)):
             acc = self.table[acc][base]
         return acc
 

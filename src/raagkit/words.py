@@ -7,13 +7,18 @@ the graph's vertices.  ``canonical_form`` picks one distinguished representative
 per group element, so words are equal in the group iff their canonical forms
 are syllable-wise identical.
 
-The canonical representative is built in two stages.  First the word is fully
-reduced: whenever two syllables share a generator and everything strictly
-between commutes with it, they are merged (dropping zero exponents), until no
-such move remains.  Then the reduced word is cut into left-greedy central
-blocks, each block the maximal front set of pairwise-commuting syllables that
-can be shuffled to the start of what remains; blocks are emitted in order with
-their syllables sorted by vertex order.
+The canonical representative comes from one left-to-right pass and one
+layering pass.  The first pass keeps, per generator, the positions of its
+surviving syllables; a new syllable merges into its generator's last survivor
+when every survivor after that one commutes with it, and a zero exponent
+drops the survivor.  The result is fully reduced, and reduced words for one
+element differ only by swapping commuting neighbours.  The second pass gives
+each syllable depth 1 + the largest depth among earlier syllables that share
+its generator or do not commute with it.  Syllables of equal depth form a
+block, emitted in order of depth with its syllables sorted by vertex order.
+These are the left-greedy central blocks (the Cartier-Foata normal form): a
+syllable of depth i+1 can be shuffled to the front once blocks 1..i are
+removed, and not before, since its deepest blocker lies in block i.
 """
 
 from __future__ import annotations
@@ -121,92 +126,68 @@ def word_from_pairs(graph: Graph, pairs: Iterable[tuple[str, int]]) -> Word:
     return Word(graph, tuple(sylls))
 
 
-def _reduce(adj: list[list[bool]], sylls: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    # Merge adjacent equal-generator syllables first, then run the long-range
-    # merge to a fixpoint.  Restarting after each merge keeps the logic simple;
-    # words at desk scale are short.
-    out: list[tuple[int, int]] = []
-    for g, e in sylls:
-        if out and out[-1][0] == g:
-            merged = out[-1][1] + e
-            if merged == 0:
-                out.pop()
+def _layers(w: Word) -> list[list[tuple[int, int]]]:
+    """The Foata layers of w's reduced word, as (vertex index, exponent)."""
+    index, adj = _ctx(w.graph)
+    out: list[tuple[int, int] | None] = []
+    # Per generator, the positions in out of its surviving syllables.
+    alive: dict[int, list[int]] = {}
+    for s in w.syllables:
+        g = index[s.gen]
+        row = adj[g]
+        mine = alive.get(g)
+        if mine and all(row[h] or not at or at[-1] < mine[-1]
+                        for h, at in alive.items()):
+            p = mine[-1]
+            merged = out[p][1] + s.exp
+            if merged:
+                out[p] = (g, merged)
             else:
-                out[-1] = (g, merged)
+                out[p] = None
+                mine.pop()
         else:
-            out.append((g, e))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            g = out[i][0]
-            row = adj[g]
-            for j in range(i + 1, len(out)):
-                g2 = out[j][0]
-                if g2 == g:
-                    merged = out[i][1] + out[j][1]
-                    del out[j]
-                    if merged == 0:
-                        del out[i]
-                    else:
-                        out[i] = (g, merged)
-                    changed = True
-                    break
-                if not row[g2]:
-                    break
-            if changed:
-                break
-    return out
+            alive.setdefault(g, []).append(len(out))
+            out.append((g, s.exp))
+    layers: list[list[tuple[int, int]]] = []
+    # Per generator, the depth of its latest (so deepest) syllable so far.
+    depth: dict[int, int] = {}
+    for s in out:
+        if s is None:
+            continue
+        g = s[0]
+        row = adj[g]
+        d = max([dh for h, dh in depth.items() if h == g or not row[h]], default=0)
+        depth[g] = d + 1
+        if d == len(layers):
+            layers.append([])
+        layers[d].append(s)
+    for layer in layers:
+        layer.sort()
+    return layers
 
 
-def _blocks(adj: list[list[bool]], sylls: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    blocks: list[list[tuple[int, int]]] = []
-    rem = sylls
-    while rem:
-        block: list[tuple[int, int]] = []
-        rest: list[tuple[int, int]] = []
-        for g, e in rem:
-            movable = all(adj[g2][g] for g2, _ in rest)
-            clique = all(adj[g2][g] for g2, _ in block)
-            if movable and clique:
-                block.append((g, e))
-            else:
-                rest.append((g, e))
-        block.sort(key=lambda s: s[0])
-        blocks.append(block)
-        rem = rest
-    return blocks
-
-
-def _canonical_indexed(graph: Graph, w: Word) -> list[tuple[int, int]]:
-    index, adj = _ctx(graph)
-    sylls = [(index[s.gen], s.exp) for s in w.syllables]
-    reduced = _reduce(adj, sylls)
-    return [s for b in _blocks(adj, reduced) for s in b]
+def _canonical_indexed(w: Word) -> list[tuple[int, int]]:
+    return [s for layer in _layers(w) for s in layer]
 
 
 def canonical_form(w: Word) -> Word:
     """The canonical representative of w's group element."""
     names = w.graph.vertices
     return Word(w.graph, tuple(Syllable(names[g], e)
-                               for g, e in _canonical_indexed(w.graph, w)))
+                               for g, e in _canonical_indexed(w)))
 
 
 def canonical_key(w: Word) -> tuple[tuple[int, int], ...]:
     """A hashable key identifying w's group element (canonical form, indexed)."""
-    return tuple(_canonical_indexed(w.graph, w))
+    return tuple(_canonical_indexed(w))
 
 
 def central_form(w: Word) -> CentralForm:
     """The left-greedy block decomposition of the canonical form."""
-    index, adj = _ctx(w.graph)
-    sylls = [(index[s.gen], s.exp) for s in w.syllables]
     names = w.graph.vertices
-    blocks = tuple(
-        tuple(Syllable(names[g], e) for g, e in block)
-        for block in _blocks(adj, _reduce(adj, sylls))
-    )
-    return CentralForm(w.graph, blocks)
+    return CentralForm(w.graph, tuple(
+        tuple(Syllable(names[g], e) for g, e in layer)
+        for layer in _layers(w)))
 
 
 def _require_same_graph(w1: Word, w2: Word) -> None:
@@ -217,11 +198,11 @@ def _require_same_graph(w1: Word, w2: Word) -> None:
 def equals(w1: Word, w2: Word) -> bool:
     """Group equality, decided by comparing canonical forms."""
     _require_same_graph(w1, w2)
-    return _canonical_indexed(w1.graph, w1) == _canonical_indexed(w2.graph, w2)
+    return _canonical_indexed(w1) == _canonical_indexed(w2)
 
 
 def is_identity(w: Word) -> bool:
-    return not _canonical_indexed(w.graph, w)
+    return not _canonical_indexed(w)
 
 
 def multiply(w1: Word, w2: Word) -> Word:
@@ -235,11 +216,15 @@ def invert(w: Word) -> Word:
 
 
 def power(w: Word, k: int) -> Word:
+    """w^k, by repeated squaring: one canonical form per binary digit of |k|."""
     if k == 0:
         return Word(w.graph, ())
     base = w.syllables if k > 0 else tuple(
         Syllable(s.gen, -s.exp) for s in reversed(w.syllables))
-    return canonical_form(Word(w.graph, base * abs(k)))
+    acc = canonical_form(Word(w.graph, base))
+    for bit in bin(abs(k))[3:]:
+        acc = canonical_form(Word(w.graph, acc.syllables * 2 + (base if bit == "1" else ())))
+    return acc
 
 
 def commutes(g: Word, h: Word) -> bool:
@@ -251,7 +236,7 @@ def commutes(g: Word, h: Word) -> bool:
 def support(w: Word) -> set[str]:
     """Generators appearing in the canonical form."""
     names = w.graph.vertices
-    return {names[g] for g, _ in _canonical_indexed(w.graph, w)}
+    return {names[g] for g, _ in _canonical_indexed(w)}
 
 
 def in_special_subgroup(w: Word, vertices: Iterable[str]) -> bool:
@@ -266,6 +251,6 @@ def in_special_subgroup(w: Word, vertices: Iterable[str]) -> bool:
 def sort_key(w: Word) -> tuple:
     """Deterministic element order: canonical length, then syllable-wise
     (vertex order, sign, magnitude)."""
-    canon = _canonical_indexed(w.graph, w)
+    canon = _canonical_indexed(w)
     letters = sum(abs(e) for _, e in canon)
     return (letters, tuple((g, 0 if e > 0 else 1, abs(e)) for g, e in canon))

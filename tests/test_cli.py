@@ -274,3 +274,57 @@ def test_search_reports_exhaustion(write_json, capsys):
     captured = capsys.readouterr()
     assert captured.out == "exhausted\n"
     assert "symbol budget 0" in captured.err
+
+
+# -- malformed JSON shapes and huge exponents --------------------------------
+
+def raag(*args):
+    src = os.path.dirname(os.path.dirname(raagkit.__file__))
+    return subprocess.run([sys.executable, "-m", "raagkit.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("files, args", [
+    ({"k2.json": K2,
+      "alpha.json": {"source": "k2.json", "target": "k2.json",
+                     "map": {"a": ["a"], "b": "b"}}},
+     ["equalizer-test", "--alpha", "alpha.json", "--beta", "alpha.json",
+      "--rho", "alpha.json"]),
+    ({"c.json": {"group": {"graph": ONE_V, "generators": {"x": 5}},
+                 "images": {"x": "[v]"}}},
+     ["check-coalgebra", "--coalg", "c.json"]),
+    ({"c.json": {"group": K2, "images": {"a": 5, "b": "[b]"}}},
+     ["check-coalgebra", "--coalg", "c.json"]),
+    ({"p.json": {"generators": ["v"], "relators": [5]}, "g.json": ONE_V},
+     ["search-coalgebra", "--presentation", "p.json", "--promise-graph", "g.json",
+      "--symbol-budget", "1", "--image-budget", "1"]),
+    ({"p.json": {"generators": 5, "relators": []}, "g.json": ONE_V},
+     ["search-coalgebra", "--presentation", "p.json", "--promise-graph", "g.json",
+      "--symbol-budget", "1", "--image-budget", "1"]),
+    ({"k2.json": K2, "hom.json": {"a": 7, "b": "b"}},
+     ["is-cohom", "--src", "k2.json", "--dst", "k2.json", "--hom", "hom.json"]),
+], ids=["hom_map_value_list", "handle_generator_number", "image_number",
+        "relator_number", "generators_number", "cohom_table_number"])
+def test_non_string_json_values_exit_2_without_traceback(write_json, files, args):
+    paths = {name: write_json(name, data) for name, data in files.items()}
+    proc = raag(*(paths.get(arg, arg) for arg in args))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_is_cohom_with_huge_exponent_is_false(write_json):
+    k2 = write_json("k2.json", K2)
+    hom = write_json("hom.json", {"a": "a", "b": "b^1000000000000"})
+    proc = raag("is-cohom", "--src", k2, "--dst", k2, "--hom", hom)
+    assert proc.returncode == 1
+    assert proc.stdout == "false\n"
+
+
+def test_check_coalgebra_with_huge_symbol_exponent_fails_counit(write_json):
+    c = write_json("c.json", {"group": K2,
+                              "images": {"a": "[a]^1000000000000", "b": "[b]"}})
+    proc = raag("check-coalgebra", "--coalg", c)
+    assert proc.returncode == 1
+    assert proc.stdout == "counit failed at a\n"

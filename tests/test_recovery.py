@@ -247,6 +247,16 @@ def test_table_group_operations():
         assert acc == el
 
 
+def test_table_group_power_walks_exponent_modulo_order():
+    z3 = FiniteTableGroup(["e", "g", "h"],
+                          [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                          [("g", 1)])
+    # 10**12 leaves remainder 1 modulo 3
+    assert z3.power(1, 10**12) == 1
+    assert z3.power(1, 10**12 + 1) == 2
+    assert z3.power(1, -(10**12 + 1)) == 1
+
+
 def test_table_group_rewrite_tries_each_generator_then_its_inverse():
     z3 = FiniteTableGroup(["e", "g", "h"],
                           [[0, 1, 2], [1, 2, 0], [2, 0, 1]],

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import CORPUS, SQUARE
 from raagkit import (
@@ -8,6 +11,7 @@ from raagkit import (
     Syllable,
     UnknownGenerator,
     UnknownVertex,
+    Word,
     WordSyntaxError,
     ZeroExponent,
     canonical_form,
@@ -23,10 +27,12 @@ from raagkit import (
     power,
     sort_key,
     support,
+    validate_graph,
     word_from_pairs,
     word_text,
 )
-from raagkit.words import _MAX_EXPONENT_DIGITS
+from raagkit.oracle import bf_equals
+from raagkit.words import _MAX_EXPONENT_DIGITS, _layers
 
 
 def w(graph, text):
@@ -229,3 +235,146 @@ def test_sort_key_orders_by_length_then_position():
     assert [word_text(canonical_form(x)) for x in ordered] == [
         "", "a", "a^-1", "b", "a b", "a^2",
     ]
+
+
+# -- canonical form: pinned digest over seeded words -------------------------
+
+def _random_graph(rng, n, density):
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]
+             if rng.random() < density]
+    return validate_graph(names, edges)
+
+
+# sha256 of the canonical and central forms of 200 seeded words (0-64
+# syllables, exponents in +-{1, 2, 3}) on each corpus graph and on two random
+# 20-vertex graphs; any change to either normal form changes it.
+_FORMS_DIGEST = "91cfcab9b58887acd29be5dd46f018f15fd88131a7d738906408a5e6df8157e7"
+
+
+def test_canonical_and_central_forms_match_pinned_digest():
+    rng = random.Random(2026)
+    graphs = list(CORPUS.values()) + [_random_graph(rng, 20, 0.3),
+                                      _random_graph(rng, 20, 0.7)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for _ in range(200):
+            word = word_from_pairs(g, [
+                (rng.choice(g.vertices), rng.choice((1, 2, 3, -1, -2, -3)))
+                for _ in range(rng.randint(0, 64))])
+            digest.update(word_text(canonical_form(word)).encode() + b"\n")
+            for block in central_form(word).blocks:
+                digest.update(word_text(Word(g, block)).encode() + b"|")
+            digest.update(b"\n")
+    assert digest.hexdigest() == _FORMS_DIGEST
+
+
+# -- canonical form: hypothesis properties -----------------------------------
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                     max_examples=150)
+
+
+@st.composite
+def graphs(draw, max_vertices=6):
+    n = draw(st.integers(1, max_vertices))
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    edges = [p for p in pairs if draw(st.booleans())]
+    return validate_graph(names, edges)
+
+
+def words(g, max_syllables, exponents=(1, 2, 3, -1, -2, -3)):
+    syllable = st.tuples(st.sampled_from(g.vertices), st.sampled_from(exponents))
+    return st.lists(syllable, max_size=max_syllables).map(
+        lambda pairs: word_from_pairs(g, pairs))
+
+
+@st.composite
+def graph_and_word(draw, max_syllables=16):
+    g = draw(graphs())
+    return g, draw(words(g, max_syllables))
+
+
+def _adjacent(g, u, v):
+    return u != v and ((u, v) in g.edges or (v, u) in g.edges)
+
+
+@st.composite
+def rewritten(draw, word, max_moves=4, insert=True):
+    """word after a few group-preserving moves: swaps of adjacent commuting
+    syllables and, if allowed, insertions of a cancelling pair."""
+    g = word.graph
+    sylls = list(word.syllables)
+    for _ in range(draw(st.integers(0, max_moves))):
+        if insert and draw(st.booleans()):
+            at = draw(st.integers(0, len(sylls)))
+            gen = draw(st.sampled_from(g.vertices))
+            exp = draw(st.sampled_from((1, -1, 2)))
+            sylls[at:at] = [Syllable(gen, exp), Syllable(gen, -exp)]
+        elif len(sylls) > 1:
+            i = draw(st.integers(0, len(sylls) - 2))
+            if _adjacent(g, sylls[i].gen, sylls[i + 1].gen):
+                sylls[i], sylls[i + 1] = sylls[i + 1], sylls[i]
+    return Word(g, tuple(sylls))
+
+
+@st.composite
+def oracle_pairs(draw):
+    """Two words within the oracle's letter cap, equal in the group about half
+    the time."""
+    g = draw(graphs())
+    w1 = draw(words(g, 4, exponents=(1, -1, 2, -2)).filter(lambda x: len(x) <= 5))
+    if draw(st.booleans()):
+        w2 = draw(words(g, 4, exponents=(1, -1, 2, -2)).filter(lambda x: len(x) <= 5))
+    else:
+        w2 = draw(rewritten(w1, max_moves=3, insert=len(w1) <= 3))
+    return g, w1, w2
+
+
+@_PROPERTY
+@given(oracle_pairs())
+def test_equals_agrees_with_oracle(case):
+    g, w1, w2 = case
+    assert equals(w1, w2) == bf_equals(g, w1, w2)
+
+
+@_PROPERTY
+@given(st.data())
+def test_canonical_form_is_idempotent_and_move_invariant(data):
+    g, word = data.draw(graph_and_word())
+    canon = canonical_form(word)
+    assert canonical_form(canon) == canon
+    assert canonical_form(data.draw(rewritten(word))) == canon
+
+
+@_PROPERTY
+@given(graph_and_word())
+def test_central_form_blocks_are_cliques_each_pinned_by_the_one_before(case):
+    g, word = case
+    blocks = central_form(word).blocks
+    for block in blocks:
+        gens = [s.gen for s in block]
+        assert len(set(gens)) == len(gens)
+        assert all(_adjacent(g, u, v) for i, u in enumerate(gens) for v in gens[i + 1:])
+    for before, after in zip(blocks, blocks[1:]):
+        for s in after:
+            assert any(t.gen == s.gen or not _adjacent(g, t.gen, s.gen) for t in before)
+
+
+@_PROPERTY
+@given(graph_and_word(max_syllables=8), st.integers(-6, 6))
+def test_power_is_canonical_repeated_product(case, k):
+    g, word = case
+    base = word.syllables if k >= 0 else invert(word).syllables
+    assert power(word, k) == canonical_form(Word(g, base * abs(k)))
+
+
+def test_power_of_one_costs_one_canonical_form(monkeypatch):
+    calls = []
+    monkeypatch.setattr("raagkit.words._layers",
+                        lambda x: calls.append(x) or _layers(x))
+    word = w(SQUARE, "a c b^-1")
+    assert power(word, 1) == canonical_form(word)
+    assert power(word, -1) == invert(word)
+    assert len(calls) == 4
