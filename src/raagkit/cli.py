@@ -214,6 +214,14 @@ def cmd_search_coalgebra(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """A non-negative integer option; a negative one is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -266,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", parents=[common],
                        help="rebuild the presentation graph from a coalgebra")
     p.add_argument("--coalg", required=True)
-    p.add_argument("--max-length", type=int, default=3,
+    p.add_argument("--max-length", type=count, default=3,
                    help="generator-length search radius (default 3)")
     p.set_defaults(func=cmd_recover)
 
@@ -275,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="hom file")
     p.add_argument("--beta", required=True, help="hom file")
     p.add_argument("--rho", required=True, help="common retraction hom file")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--trials", type=count, default=1000)
+    p.add_argument("--max-len", type=count, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_equalizer_test)
 
@@ -286,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--promise-graph", required=True,
                    help="graph or handle file the presentation is promised "
                         "to realize")
-    p.add_argument("--symbol-budget", type=int, required=True)
-    p.add_argument("--image-budget", type=int, required=True)
+    p.add_argument("--symbol-budget", type=count, required=True)
+    p.add_argument("--image-budget", type=count, required=True)
     p.set_defaults(func=cmd_search_coalgebra)
 
     return parser

@@ -6,6 +6,9 @@ homomorphism into the symbol group, multiplying each image out returns the
 generator (counit), and rewrapping symbols agrees with pushing the map inside
 them (coassociativity).  A cohomomorphism between two structured groups is a
 group homomorphism that intertwines the structure maps.
+
+Structure maps and relators are multiplied out by the one evaluator of
+``functors`` (``_evaluate``), which freely reduces each symbol word once.
 """
 
 from __future__ import annotations
@@ -18,17 +21,13 @@ from . import words as W
 from .errors import EndsMismatch, NotACoalgebra, NotAHomomorphism, UnknownGenerator
 from .functors import (
     ACGroupHandle,
-    ACSymbol,
     ACWord,
-    GroupHandle,
     GroupHom,
     GraphHom,
-    ac_concat,
+    _evaluate,
     ac_equals,
-    ac_invert,
     ac_map_symbols,
     ac_on_hom,
-    ac_power,
     ac_text,
     ac_word,
     delta,
@@ -46,16 +45,14 @@ class CoalgebraMap:
 
     group: object
     images: tuple[tuple[str, ACWord], ...]
-    _img: dict = field(init=False, repr=False, compare=False)
+    _hom: GroupHom = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_img", dict(self.images))
+        object.__setattr__(self, "_hom", GroupHom(self.group, ACGroupHandle(self.group),
+                                                  self.images))
 
     def image_of(self, name: str) -> ACWord:
-        try:
-            return self._img[name]
-        except KeyError:
-            raise UnknownGenerator(f"no exposed generator {name!r}") from None
+        return self._hom.image_of(name)
 
 
 @dataclass(frozen=True)
@@ -114,32 +111,20 @@ def canonical_coalgebra(graph) -> CoalgebraMap:
 
 def apply_structure(c: CoalgebraMap, el) -> ACWord:
     """Extend the structure map multiplicatively to an arbitrary element."""
-    group = c.group
-    acc = ACWord(group, ())
-    for name, exp in group.rewrite_in_generators(el):
-        acc = ac_concat(acc, ac_power(c.image_of(name), exp))
-    return acc
+    return c._hom.apply(el)
 
 
 def is_homomorphism_to_acg(c: CoalgebraMap) -> tuple[bool, object]:
     """Check that images of presentation-graph edges commute, via pullback."""
-    group = c.group
-    graph = group.graph
-    for u, v in graph.sorted_edges():
-        gu = apply_structure(c, Word(graph, (W.Syllable(u, 1),)))
-        gv = apply_structure(c, Word(graph, (W.Syllable(v, 1),)))
-        if not ac_equals(ac_concat(gu, gv), ac_concat(gv, gu)):
-            return False, (u, v)
-    return True, None
+    edge = c._hom._noncommuting_edge()
+    return edge is None, edge
 
 
 def _relators_preserved(c: CoalgebraMap, relators: Iterable) -> tuple[bool, object]:
-    group = c.group
+    symbols = c._hom.target
     for rel in relators:
-        acc = ACWord(group, ())
-        for s in rel.syllables:
-            acc = ac_concat(acc, ac_power(c.image_of(s.gen), s.exp))
-        if not ac_equals(acc, ACWord(group, ())):
+        image = _evaluate(symbols, ((c.image_of(s.gen), s.exp) for s in rel.syllables))
+        if not ac_equals(image, symbols.identity()):
             return False, rel
     return True, None
 

@@ -11,6 +11,10 @@ never materialized; every computation is localized to the finite commutation
 graph spanned by the symbols actually in play.  ``ACGroupHandle`` makes the
 construction iterable, so symbol words over symbol words (as needed by the
 coassociativity diagnostics) run through the same code path.
+
+Words in generators are multiplied out by one evaluator, ``_evaluate``: it
+powers each (element, k) factor by squaring and canonicalizes once.  Homs,
+``epsilon`` and the structure maps of ``coalgebra`` all go through it.
 """
 
 from __future__ import annotations
@@ -100,6 +104,9 @@ class GroupHandle:
     def multiply(self, a: Word, b: Word) -> Word:
         return W.multiply(a, b)
 
+    def product(self, els: Iterable[Word]) -> Word:
+        return W.product(self.graph, els)
+
     def invert(self, el: Word) -> Word:
         return W.invert(el)
 
@@ -115,19 +122,21 @@ class GroupHandle:
     def parse_element(self, text: str) -> Word:
         return W.parse_word(self.graph, text)
 
-    def rewrite_in_generators(self, el: Word) -> tuple[tuple[str, int], ...]:
-        """Express an element as a sequence of (exposed name, exponent) factors."""
+    def runs(self, el: Word) -> tuple:
+        """One (expression of v in exposed generators, k) run per syllable v^k."""
         if self.is_default:
-            return tuple((s.gen, s.exp) for s in el.syllables)
-        out: list[tuple[str, int]] = []
+            return tuple((((s.gen, 1),), s.exp) for s in el.syllables)
         exprs = _vertex_expressions(self)
-        for s in el.syllables:
-            expr = exprs[s.gen]
-            if s.exp >= 0:
-                chunk = expr * s.exp
-            else:
-                chunk = tuple((n, -e) for n, e in reversed(expr)) * (-s.exp)
-            out.extend(chunk)
+        return tuple((exprs[s.gen], s.exp) for s in el.syllables)
+
+    def rewrite_in_generators(self, el: Word) -> tuple[tuple[str, int], ...]:
+        """Express an element as (exposed name, exponent) factors: each run
+        spelled out k-fold, or raised in place if its expression is one factor."""
+        out: list[tuple[str, int]] = []
+        for expr, k in self.runs(el):
+            if k < 0:
+                expr, k = tuple((n, -e) for n, e in reversed(expr)), -k
+            out.extend(expr * k if len(expr) > 1 else [(expr[0][0], expr[0][1] * k)])
         return tuple(out)
 
 
@@ -215,20 +224,30 @@ def _vertex_expressions(handle: GroupHandle) -> dict[str, tuple[tuple[str, int],
 
 
 # ---------------------------------------------------------------------------
-# Group homomorphisms
+# Evaluating words in generators, and group homomorphisms
 # ---------------------------------------------------------------------------
+
+def _evaluate(group, factors: Iterable[tuple[object, int]]):
+    """The product of el^k over the (el, k) factors, in group: each factor
+    powered by squaring, the product canonicalized once."""
+    return group.product([el if k == 1 else group.power(el, k) for el, k in factors])
+
 
 @dataclass(frozen=True)
 class GroupHom:
-    """A homomorphism given by images of the source's exposed generators."""
+    """A homomorphism given by images of the source's exposed generators.  Both
+    ends may be any handles: a structure map is one into the symbol group."""
 
     source: GroupHandle
     target: GroupHandle
     images: tuple[tuple[str, Word], ...]
     _img: dict = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_img", dict(self.images))
+        # run expression -> image, seeded with each generator's own
+        object.__setattr__(self, "_memo", {((n, 1),): img for n, img in self.images})
 
     def image_of(self, name: str) -> Word:
         try:
@@ -236,11 +255,22 @@ class GroupHom:
         except KeyError:
             raise UnknownGenerator(f"no exposed generator {name!r}") from None
 
+    def _noncommuting_edge(self) -> tuple[str, str] | None:
+        """The first source edge whose vertex images do not commute, if any."""
+        graph = self.source.graph
+        for u, v in graph.sorted_edges():
+            fu, fv = (self.apply(Word(graph, (W.Syllable(x, 1),))) for x in (u, v))
+            if not self.target.commutes(fu, fv):
+                return u, v
+        return None
+
     def apply(self, el: Word) -> Word:
-        acc = self.target.identity()
-        for name, exp in self.source.rewrite_in_generators(el):
-            acc = W.multiply(acc, W.power(self._img[name], exp))
-        return acc
+        runs = self.source.runs(el)
+        for expr, _ in runs:
+            if expr not in self._memo:
+                self._memo[expr] = _evaluate(
+                    self.target, ((self.image_of(n), e) for n, e in expr))
+        return _evaluate(self.target, ((self._memo[expr], k) for expr, k in runs))
 
     __call__ = apply
 
@@ -258,14 +288,11 @@ def group_hom(source: GroupHandle, target: GroupHandle,
             img = W.parse_word(target.graph, img)
         pairs.append((name, W.canonical_form(img)))
     f = GroupHom(source, target, tuple(pairs))
-    for u, v in source.graph.sorted_edges():
-        fu = f.apply(Word(source.graph, (W.Syllable(u, 1),)))
-        fv = f.apply(Word(source.graph, (W.Syllable(v, 1),)))
-        if not W.commutes(fu, fv):
-            raise NotAHomomorphism(
-                f"images of commuting generators ({u},{v}) do not commute",
-                witness=(u, v),
-            )
+    edge = f._noncommuting_edge()
+    if edge is not None:
+        raise NotAHomomorphism(
+            f"images of commuting generators ({edge[0]},{edge[1]}) do not commute",
+            witness=edge)
     return f
 
 
@@ -337,6 +364,9 @@ class ACGroupHandle:
     def multiply(self, a: ACWord, b: ACWord) -> ACWord:
         return ac_concat(a, b)
 
+    def product(self, els: Iterable[ACWord]) -> ACWord:
+        return ac_concat(self.identity(), *els)
+
     def invert(self, el: ACWord) -> ACWord:
         return ac_invert(el)
 
@@ -383,10 +413,14 @@ def ac_word(base, letters: Iterable[tuple[object, int]]) -> ACWord:
     return ACWord(base, _normalize_letters(prepared))
 
 
-def ac_concat(a: ACWord, b: ACWord) -> ACWord:
-    if a.base != b.base:
-        raise BaseMismatch("symbol words live over different bases")
-    return ACWord(a.base, _normalize_letters(a.letters + b.letters))
+def ac_concat(a: ACWord, *rest: ACWord) -> ACWord:
+    """The product a b ..., freely reduced once."""
+    letters = list(a.letters)
+    for b in rest:
+        if a.base != b.base:
+            raise BaseMismatch("symbol words live over different bases")
+        letters += b.letters
+    return ACWord(a.base, _normalize_letters(letters))
 
 
 def ac_invert(a: ACWord) -> ACWord:
@@ -395,13 +429,11 @@ def ac_invert(a: ACWord) -> ACWord:
 
 
 def ac_power(a: ACWord, k: int) -> ACWord:
+    """a^k, freely reduced, by repeated squaring (see ``words._power``)."""
     if k == 0:
         return ACWord(a.base, ())
-    if len(a.letters) == 1:
-        sym, exp = a.letters[0]
-        return ACWord(a.base, ((sym, exp * k),))
-    chunk = a.letters if k > 0 else ac_invert(a).letters
-    return ACWord(a.base, _normalize_letters(chunk * abs(k)))
+    base = a.letters if k > 0 else ac_invert(a).letters
+    return ACWord(a.base, W._power(base, abs(k), _normalize_letters))
 
 
 def ac_map_symbols(a: ACWord, fn: Callable, new_base) -> ACWord:
@@ -514,11 +546,7 @@ def ac_key(a: ACWord) -> tuple:
 
 def epsilon(a: ACWord):
     """Multiply the symbols out in the base group."""
-    base = a.base
-    acc = base.identity()
-    for sym, exp in a.letters:
-        acc = base.multiply(acc, base.power(sym.element, exp))
-    return acc
+    return _evaluate(a.base, ((sym.element, exp) for sym, exp in a.letters))
 
 
 def delta(a: ACWord) -> ACWord:

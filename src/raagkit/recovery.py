@@ -10,6 +10,7 @@ a statement about the budget, never about nonexistence.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -409,16 +410,16 @@ class FiniteTableGroup:
     def multiply(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    def product(self, els) -> int:
+        return functools.reduce(self.multiply, els, self._identity)
+
     def invert(self, el: int) -> int:
         return self._inverse[el]
 
     def power(self, el: int, k: int) -> int:
-        base = el if k >= 0 else self._inverse[el]
-        acc = self._identity
         # Every element's order divides the group's.
-        for _ in range(abs(k) % len(self.names)):
-            acc = self.table[acc][base]
-        return acc
+        base = el if k >= 0 else self._inverse[el]
+        return self.product([base] * (abs(k) % len(self.names)))
 
     def commutes(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
@@ -436,6 +437,9 @@ class FiniteTableGroup:
             exp = 1 if m.group(2) is None else int(m.group(2))
             acc = self.table[acc][self.power(index[m.group(1)], exp)]
         return acc
+
+    def runs(self, el: int):
+        return ((self._expressions[el], 1),)
 
     def rewrite_in_generators(self, el: int):
         return self._expressions[el]

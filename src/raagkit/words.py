@@ -30,6 +30,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import (
     GraphMismatch,
+    SearchSpaceTooLarge,
     UnknownGenerator,
     UnknownVertex,
     WordSyntaxError,
@@ -91,6 +92,10 @@ def _ctx(graph: Graph) -> tuple[dict[str, int], list[list[bool]]]:
 _MAX_EXPONENT_DIGITS = 100
 _EXPONENT = rf"\^(-?[0-9]{{1,{_MAX_EXPONENT_DIGITS}}})(?![0-9])"
 _TOKEN_RE = re.compile(rf"([A-Za-z0-9_]+)(?:{_EXPONENT})?\Z")
+
+# The most syllables (or symbol-word letters) a power may build: squaring keeps
+# a short result's cost logarithmic in |k|, and this caps a long one.
+_MAX_POWER_SYLLABLES = 100_000
 
 
 def parse_word(graph: Graph, text: str) -> Word:
@@ -210,21 +215,42 @@ def multiply(w1: Word, w2: Word) -> Word:
     return canonical_form(Word(w1.graph, w1.syllables + w2.syllables))
 
 
+def product(graph: Graph, words: Iterable[Word]) -> Word:
+    """The product of words over graph, canonicalized once."""
+    sylls: list[Syllable] = []
+    for w in words:
+        if w.graph != graph:
+            raise GraphMismatch("words live over different graphs")
+        sylls += w.syllables
+    return canonical_form(Word(graph, tuple(sylls)))
+
+
 def invert(w: Word) -> Word:
     flipped = tuple(Syllable(s.gen, -s.exp) for s in reversed(w.syllables))
     return canonical_form(Word(w.graph, flipped))
 
 
+def _power(base: tuple, k: int, reduce) -> tuple:
+    """reduce(base * k) for k > 0, by repeated squaring: one reduce per binary
+    digit of k.  Raises SearchSpaceTooLarge rather than build more than
+    ``_MAX_POWER_SYLLABLES`` entries."""
+    acc = reduce(base)
+    for bit in bin(k)[3:]:
+        if 2 * len(acc) + len(base) > _MAX_POWER_SYLLABLES:
+            raise SearchSpaceTooLarge(
+                f"a power would build more than {_MAX_POWER_SYLLABLES} syllables")
+        acc = reduce(acc * 2 + (base if bit == "1" else ()))
+    return acc
+
+
 def power(w: Word, k: int) -> Word:
-    """w^k, by repeated squaring: one canonical form per binary digit of |k|."""
+    """w^k, canonical, by repeated squaring (see ``_power``)."""
     if k == 0:
         return Word(w.graph, ())
     base = w.syllables if k > 0 else tuple(
         Syllable(s.gen, -s.exp) for s in reversed(w.syllables))
-    acc = canonical_form(Word(w.graph, base))
-    for bit in bin(abs(k))[3:]:
-        acc = canonical_form(Word(w.graph, acc.syllables * 2 + (base if bit == "1" else ())))
-    return acc
+    return Word(w.graph, _power(base, abs(k),
+                                lambda sylls: canonical_form(Word(w.graph, sylls)).syllables))
 
 
 def commutes(g: Word, h: Word) -> bool:

@@ -1,11 +1,16 @@
 """End-to-end runs of the raag command line against files on disk."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import raagkit
 from raagkit.cli import main
@@ -328,3 +333,151 @@ def test_check_coalgebra_with_huge_symbol_exponent_fails_counit(write_json):
     proc = raag("check-coalgebra", "--coalg", c)
     assert proc.returncode == 1
     assert proc.stdout == "counit failed at a\n"
+
+
+# -- negative counts and long powers -----------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ["equalizer-test", "--alpha", "alpha.json", "--beta", "alpha.json",
+     "--rho", "alpha.json", "--max-len", "-1"],
+    ["equalizer-test", "--alpha", "alpha.json", "--beta", "alpha.json",
+     "--rho", "alpha.json", "--trials", "-3"],
+    ["recover", "--coalg", "c.json", "--max-length", "-1"],
+    ["search-coalgebra", "--presentation", "p.json", "--promise-graph", "g.json",
+     "--symbol-budget", "-1", "--image-budget", "1"],
+    ["search-coalgebra", "--presentation", "p.json", "--promise-graph", "g.json",
+     "--symbol-budget", "1", "--image-budget", "-2"],
+], ids=["max_len", "trials", "max_length", "symbol_budget", "image_budget"])
+def test_negative_counts_are_usage_errors(write_json, args):
+    paths = {
+        "k2.json": write_json("k2.json", K2),
+        "alpha.json": write_json("alpha.json", {"source": "k2.json", "target": "k2.json",
+                                                "map": {"a": "a", "b": "b"}}),
+        "c.json": write_json("c.json", canonical_square_coalg()),
+        "p.json": write_json("p.json", {"generators": ["v"], "relators": []}),
+        "g.json": write_json("g.json", ONE_V),
+    }
+    proc = raag(*(paths.get(arg, arg) for arg in args))
+    assert proc.returncode == 2
+    assert "must not be negative" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("k, code, out", [
+    ("3", 1, "counit failed at a\n"),
+    ("1000000000000", 2, ""),
+])
+def test_long_power_of_an_image_exits_2(write_json, k, code, out):
+    images = {"a": f"[a c]^{k}", "b": "[b]", "c": "[c]", "d": "[d]"}
+    c = write_json("c.json", {"group": SQUARE, "images": images})
+    proc = raag("check-coalgebra", "--coalg", c)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error: SearchSpaceTooLarge")
+
+
+# -- fuzz: every loader and subcommand, in-process ---------------------------
+
+_VERTICES = st.sampled_from(["a", "b", "c"])
+_NAMES = st.sampled_from(["a", "b", "c", "x", "y"])
+_WORDS = st.lists(st.tuples(_VERTICES, st.sampled_from(["", "^-1", "^2", "^12"])),
+                  max_size=3).map(lambda ts: " ".join(v + e for v, e in ts))
+_SYMBOL_WORDS = st.lists(st.tuples(_WORDS, st.sampled_from(["", "^-1", "^2"])),
+                         max_size=2).map(lambda ts: " ".join(f"[{w}]{e}" for w, e in ts))
+_TEXTS = _WORDS | _SYMBOL_WORDS | st.text(alphabet="abcxy^-12 []", max_size=8)
+_COUNTS = st.sampled_from(["-1", "0", "1", "1"])
+
+
+@st.composite
+def _documents(draw):
+    """One file of each kind over a common vertex set, mostly well formed."""
+    vs = draw(st.lists(_VERTICES, unique=True, min_size=1, max_size=3))
+    pairs = [[u, v] for i, u in enumerate(vs) for v in vs[i + 1:]]
+    graph = {"vertices": vs, "edges": [p for p in pairs if draw(st.booleans())]}
+    names = st.sampled_from(vs) | _NAMES
+    group = st.just("g.json") | st.just(graph) | st.fixed_dictionaries({
+        "graph": st.just("g.json"),
+        "generators": st.dictionaries(names, _WORDS, min_size=1, max_size=3)})
+    return {
+        "g.json": graph,
+        "h.json": draw(st.just(graph) | st.just({"vertices": vs[:1], "edges": []})),
+        "f.json": draw(st.fixed_dictionaries({v: _WORDS for v in vs})
+                       | st.dictionaries(names, _WORDS, max_size=3)
+                       | st.fixed_dictionaries({
+                           "source": st.just("g.json"), "target": st.just("g.json"),
+                           "map": st.fixed_dictionaries({v: st.sampled_from(vs) for v in vs})
+                           | st.dictionaries(names, names, max_size=3)})),
+        "c.json": draw(st.fixed_dictionaries({
+            "group": group,
+            "images": st.fixed_dictionaries({v: _SYMBOL_WORDS for v in vs})
+            | st.dictionaries(names, _SYMBOL_WORDS, max_size=3)})),
+        "p.json": draw(st.fixed_dictionaries({
+            "generators": st.just(vs) | st.lists(names, max_size=3),
+            "relators": st.lists(_WORDS, max_size=2)})),
+    }
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _TEXTS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["vertices", "edges", "source", "target", "map",
+                                       "group", "graph", "generators", "images",
+                                       "relators", "a", "x"]), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _invocations(draw):
+    """Files (a plausible document, any JSON value, raw text, or nothing) and
+    the argv of one subcommand run over them."""
+    files = {}
+    for name, doc in draw(_documents()).items():
+        kind = draw(st.sampled_from(["doc"] * 12 + ["json", "text", "missing"]))
+        if kind == "doc":
+            files[name] = json.dumps(doc)
+        elif kind == "json":
+            files[name] = json.dumps(draw(_JSON))
+        elif kind == "text":
+            files[name] = draw(st.text(max_size=6))
+    cmd = draw(st.sampled_from(["nf", "eq", "commutes", "is-cohom", "check-coalgebra",
+                                "recover", "equalizer-test", "search-coalgebra"]))
+    if cmd == "nf":
+        argv = ["nf", "--graph", "g.json", draw(_TEXTS)] + draw(st.sampled_from([[], ["--central"]]))
+    elif cmd in ("eq", "commutes"):
+        argv = [cmd, "--graph", "g.json", draw(_TEXTS), draw(_TEXTS)]
+    elif cmd == "is-cohom":
+        argv = ["is-cohom", "--src", "g.json", "--dst", "h.json", "--hom", "f.json"] + draw(
+            st.sampled_from([[], ["--src-coalg", "c.json"], ["--dst-coalg", "c.json"]]))
+    elif cmd == "check-coalgebra":
+        argv = ["check-coalgebra", "--coalg", "c.json"]
+    elif cmd == "recover":
+        argv = ["recover", "--coalg", "c.json", "--max-length", draw(_COUNTS)]
+    elif cmd == "equalizer-test":
+        argv = ["equalizer-test", "--alpha", "f.json", "--beta", "f.json", "--rho", "f.json",
+                "--trials", draw(_COUNTS), "--max-len", draw(_COUNTS)]
+    else:
+        argv = ["search-coalgebra", "--presentation", "p.json",
+                "--promise-graph", draw(st.sampled_from(["g.json", "c.json"])),
+                "--symbol-budget", draw(_COUNTS), "--image-budget", draw(_COUNTS)]
+    return files, argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@pytest.mark.filterwarnings("ignore::raagkit.IdentitySymbolWarning")
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_invocations())
+def test_fuzzed_invocations_keep_the_exit_code_contract(case):
+    files, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, a) if a.endswith(".json") else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+                assert code == 2
+    assert code in (0, 1, 2)

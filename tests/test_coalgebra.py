@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import CORPUS, SQUARE, graph
 from raagkit import (
     EndsMismatch,
     NotACoalgebra,
     NotAHomomorphism,
+    SearchSpaceTooLarge,
     UnknownGenerator,
     a_on_hom,
+    ac_concat,
+    ac_equals,
     ac_text,
     apply_structure,
     canonical_coalgebra,
@@ -15,12 +20,16 @@ from raagkit import (
     check_counit,
     cohom_to_graph_hom,
     group_hom,
+    handle_with_generators,
     is_cohomomorphism,
     is_homomorphism_to_acg,
     make_coalgebra,
+    multiply,
     parse_word,
     raag_of_graph,
+    validate_graph,
     validate_hom,
+    word_from_pairs,
 )
 from raagkit.coalgebra import _graph_verdict
 
@@ -208,3 +217,112 @@ def test_cohomomorphism_rejects_non_coalgebras():
     broken = coalg(HV, {"v": "[v^2]"})
     with pytest.raises(NotACoalgebra):
         is_cohomomorphism(f, broken, canonical_coalgebra(ONE_V))
+
+
+# -- pinned texts on the obfuscated square -----------------------------------
+
+OBFUSCATED = handle_with_generators(SQUARE, {"x": "a", "y": "b", "z": "c", "w": "d a"})
+OB_IMAGES = {"x": "[a]", "y": "[b]", "z": "[c]", "w": "[a] [d]"}
+C_OB = coalg(OBFUSCATED, OB_IMAGES)
+
+
+@pytest.mark.parametrize("word, text", [
+    ("d^2", "[a] [d]^2 [a]^-1"),
+    ("d^-3", "[a] [d]^-3 [a]^-1"),
+    ("a^3 d^-1", "[a]^4 [d]^-1 [a]^-1"),
+    ("d a^2 b^-2 c", "[a] [d] [a] [b]^-2 [c]"),
+])
+def test_apply_structure_texts_on_obfuscated_square(word, text):
+    assert ac_text(apply_structure(C_OB, parse_word(SQUARE, word))) == text
+
+
+@pytest.mark.parametrize("handle, c, images, witness", [
+    (OBFUSCATED, C_OB, {"x": "a^3", "y": "b", "z": "c", "w": "d a^3"},
+     "x: [a]^3 != [a^3]"),
+    (OBFUSCATED, C_OB, {"x": "a", "y": "b^-2", "z": "c", "w": "d a"},
+     "y: [b]^-2 != [b^-2]"),
+    (raag_of_graph(SQUARE), canonical_coalgebra(SQUARE),
+     {"a": "a", "b": "b", "c": "c", "d": "d^-1"}, "d: [d]^-1 != [d^-1]"),
+])
+def test_cohom_witness_texts(handle, c, images, witness):
+    ok, got = is_cohomomorphism(group_hom(handle, handle, images), c, c)
+    assert not ok
+    assert str(got) == witness
+
+
+@pytest.mark.parametrize("changes, text", [
+    ({}, "coalgebra"),
+    ({"w": "[d] [a]"}, "coalgebra"),
+    ({"x": "[a]^3"}, "homomorphism failed at (c,d)"),
+    ({"x": "[c]"}, "homomorphism failed at (a,d)"),
+    ({"w": "[d a]"}, "homomorphism failed at (c,d)"),
+    ({"y": "[b^2]"}, "counit failed at y"),
+    ({"y": "[b^3] [b^-2]"}, "coassociativity failed at y"),
+])
+def test_verdict_texts_on_obfuscated_square(changes, text):
+    assert check_coalgebra(coalg(OBFUSCATED, {**OB_IMAGES, **changes})).describe() == text
+
+
+def test_relator_verdict_text():
+    relators = [parse_word(validate_graph("xyzw", []), "x y x^-1 y^-1")]
+    c = coalg(OBFUSCATED, {**OB_IMAGES, "y": "[c]"})
+    assert check_coalgebra(c, relators=relators).describe() == \
+        "homomorphism failed at relator x y x^-1 y^-1"
+
+
+# -- exponents cost per syllable ---------------------------------------------
+
+def test_cohom_witness_at_a_twelve_digit_exponent():
+    k = 10**12
+    f = group_hom(OBFUSCATED, OBFUSCATED,
+                  {"x": f"a^{k}", "y": "b", "z": "c", "w": f"d a^{k}"})
+    ok, witness = is_cohomomorphism(f, C_OB, C_OB)
+    assert not ok
+    assert str(witness) == f"x: [a]^{k} != [a^{k}]"
+
+
+def test_coassociativity_of_a_split_power():
+    k = 3000
+    c = coalg(OBFUSCATED, {**OB_IMAGES, "y": f"[b^{k}] [b^{1 - k}]"})
+    assert check_coalgebra(c).describe() == "coassociativity failed at y"
+
+
+def test_long_power_of_a_symbol_word_is_refused():
+    # ([b^k] [b^(1-k)])^k freely reduces to 2k letters
+    k = 10**12
+    c = coalg(OBFUSCATED, {**OB_IMAGES, "y": f"[b^{k}] [b^{1 - k}]"})
+    with pytest.raises(SearchSpaceTooLarge):
+        check_coalgebra(c)
+
+
+# -- hypothesis: structure maps are multiplicative ---------------------------
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                     max_examples=100)
+
+
+@st.composite
+def structures_and_words(draw):
+    """A homomorphism into the symbol group and two words: the obfuscated
+    square's coalgebra, or a default handle sending each vertex v to a word
+    in symbols [v^e], which commute wherever their vertices do."""
+    if draw(st.booleans()):
+        c, g = C_OB, SQUARE
+    else:
+        g = draw(st.sampled_from([CORPUS[n] for n in ("one", "k2", "delta2", "p3", "square")]))
+        exps = st.sampled_from((1, -1, 2, -2))
+        c = coalg(raag_of_graph(g), {
+            v: " ".join(f"[{v}^{e}]^{k}" for e, k in draw(
+                st.lists(st.tuples(exps, exps), min_size=1, max_size=3)))
+            for v in g.vertices})
+    word = st.lists(st.tuples(st.sampled_from(g.vertices), st.sampled_from((1, -1, 2, -3))),
+                    max_size=6).map(lambda pairs: word_from_pairs(g, pairs))
+    return c, draw(word), draw(word)
+
+
+@_PROPERTY
+@given(structures_and_words())
+def test_apply_structure_is_multiplicative(case):
+    c, g, h = case
+    assert ac_equals(apply_structure(c, multiply(g, h)),
+                     ac_concat(apply_structure(c, g), apply_structure(c, h)))

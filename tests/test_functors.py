@@ -3,6 +3,8 @@ import pkgutil
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import raagkit
 
@@ -34,14 +36,20 @@ from raagkit import (
     group_hom,
     handle_with_generators,
     identity_hom,
+    invert,
+    is_identity,
     multiply,
     parse_ac_word,
     parse_word,
+    power,
     raag_of_graph,
+    validate_graph,
     validate_hom,
+    word_from_pairs,
     word_text,
 )
 from raagkit.functors import ac_map_symbols
+from raagkit.oracle import bf_equals
 
 ONE_V = CORPUS["one"]
 ONE_W = graph("w")
@@ -379,3 +387,102 @@ def test_module_caches_are_bounded():
                 caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
     assert len(caches) == 5, caches
     assert all(size is not None for size in caches.values()), caches
+
+
+# -- hypothesis: homs and symbol-word equality -------------------------------
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                     max_examples=100)
+
+
+@st.composite
+def small_graphs(draw, max_vertices=4):
+    names = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    return validate_graph(names, [p for p in pairs if draw(st.booleans())])
+
+
+def small_words(g, max_syllables, exponents=(1, -1, 2, -2, 3)):
+    syllable = st.tuples(st.sampled_from(g.vertices), st.sampled_from(exponents))
+    return st.lists(syllable, max_size=max_syllables).map(lambda p: word_from_pairs(g, p))
+
+
+@st.composite
+def homs_and_words(draw):
+    """An endomorphism of a default or disguised handle (one vertex v exposed
+    as v u, or v^-1 on one vertex): vertex powers v -> v^e, then conjugation."""
+    g = draw(small_graphs())
+    vs = g.vertices
+    generators = {v: v for v in vs}
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(vs))
+        others = [u for u in vs if u != v]
+        generators[v] = f"{v} {draw(st.sampled_from(others))}" if others else f"{v}^-1"
+    h = handle_with_generators(g, generators)
+    powers = {v: draw(st.sampled_from((1, -1, 2, -3))) for v in vs}
+    conj = draw(small_words(g, 3))
+    images = {}
+    for name, el in h.generator_items():
+        powered = word_from_pairs(g, [(s.gen, s.exp * powers[s.gen]) for s in el.syllables])
+        images[name] = multiply(multiply(conj, powered), invert(conj))
+    return group_hom(h, h, images), draw(small_words(g, 8))
+
+
+@_PROPERTY
+@given(homs_and_words())
+def test_hom_apply_is_a_fold_over_the_rewrite(case):
+    f, word = case
+    acc = f.target.identity()
+    for name, exp in f.source.rewrite_in_generators(word):
+        acc = multiply(acc, power(f.image_of(name), exp))
+    assert f.apply(word) == acc
+
+
+@st.composite
+def symbol_word_pairs(draw):
+    """A graph, a pool of non-identity elements, and two symbol words over
+    the pool as (pool index, exponent) letters, equal about half the time."""
+    g = draw(small_graphs(max_vertices=3))
+    element = small_words(g, 2, exponents=(1, -1)).filter(lambda w: not is_identity(w))
+    pool = draw(st.lists(element, min_size=1, max_size=3))
+    letter = st.tuples(st.integers(0, len(pool) - 1), st.sampled_from((1, -1, 2, -2)))
+    a = draw(st.lists(letter, max_size=3))
+    if draw(st.booleans()):
+        return g, pool, a, draw(st.lists(letter, max_size=3))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()) or len(b) < 2:
+            i, e = draw(letter)
+            at = draw(st.integers(0, len(b)))
+            b[at:at] = [(i, 1 if e > 0 else -1), (i, -1 if e > 0 else 1)]
+        else:
+            at = draw(st.integers(0, len(b) - 2))
+            b[at], b[at + 1] = b[at + 1], b[at]
+    return g, pool, a, b
+
+
+@_PROPERTY
+@given(symbol_word_pairs())
+def test_ac_equals_agrees_with_brute_force(case):
+    g, pool, a, b = case
+    # the symbol commutation graph by brute force: one vertex per distinct
+    # element, an edge wherever two elements commute
+    reps: list[int] = []
+    vertex_of = {}
+    for i, el in enumerate(pool):
+        same = [j for j in reps if bf_equals(g, el, pool[j])]
+        vertex_of[i] = f"s{same[0] if same else i}"
+        if not same:
+            reps.append(i)
+    edges = [(f"s{i}", f"s{j}") for i in reps for j in reps if i < j
+             and bf_equals(g, multiply(pool[i], pool[j]), multiply(pool[j], pool[i]))]
+    symbols = validate_graph([f"s{i}" for i in reps], edges)
+
+    def as_symbol_word(letters):
+        return ac_word(raag_of_graph(g), [(pool[i], e) for i, e in letters])
+
+    def as_word(letters):
+        return word_from_pairs(symbols, [(vertex_of[i], e) for i, e in letters])
+
+    assert ac_equals(as_symbol_word(a), as_symbol_word(b)) == \
+        bf_equals(symbols, as_word(a), as_word(b))

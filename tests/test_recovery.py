@@ -293,3 +293,17 @@ def test_table_group_coalgebra_check_needs_relators():
         check_coalgebra(c)
     verdict = check_coalgebra(c, relators=presentation(["g"], ["g^2"]).relators)
     assert not verdict.ok
+
+
+@pytest.mark.parametrize("generators, relators, images", [
+    (None, None, {"a": "[a]", "b": "[b]"}),
+    ({"x": "a", "y": "b a"}, ["x y x^-1 y^-1"], {"x": "[a]", "y": "[a b]"}),
+], ids=["commutator", "disguised"])
+def test_search_finds_pinned_map_on_k2(generators, relators, images):
+    k2 = CORPUS["k2"]
+    if generators is None:
+        wp, p = raag_of_graph(k2), commutator_presentation(k2)
+    else:
+        wp, p = handle_with_generators(k2, generators), presentation(list(generators), relators)
+    c = search_coalgebra(p, wp, 2, 2)
+    assert {name: ac_text(c.image_of(name)) for name, _ in wp.generator_items()} == images
