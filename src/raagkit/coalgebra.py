@@ -190,7 +190,7 @@ def check_coalgebra(c: CoalgebraMap, relators: Iterable | None = None) -> Coalge
 # Verdicts of the check against the group's own graph, which is also the one
 # is_cohomomorphism needs, so a structure map already checked is not checked
 # again there.
-_VERDICT_CACHE_SIZE = 10_000
+_VERDICT_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)

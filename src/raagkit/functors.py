@@ -10,7 +10,11 @@ commute exactly when ``g`` and ``h`` commute in the base group.  That group is
 never materialized; every computation is localized to the finite commutation
 graph spanned by the symbols actually in play.  ``ACGroupHandle`` makes the
 construction iterable, so symbol words over symbol words (as needed by the
-coassociativity diagnostics) run through the same code path.
+coassociativity diagnostics) run through the same code path.  Every symbol
+word reaches its commutation graph through ``_symbol_graph``, which keys each
+symbol once and names each distinct one; graphs over the same symbols come
+from one bounded cache.  What derives from a handle alone, such as the
+vertex expressions of an obfuscated one, is kept on the handle.
 
 Words in generators are multiplied out by one evaluator, ``_evaluate``: it
 powers each (element, k) factor by squaring and canonicalizes once.  Homs,
@@ -126,7 +130,10 @@ class GroupHandle:
         """One (expression of v in exposed generators, k) run per syllable v^k."""
         if self.is_default:
             return tuple((((s.gen, 1),), s.exp) for s in el.syllables)
-        exprs = _vertex_expressions(self)
+        exprs = self.__dict__.get("_vertex_expressions")
+        if exprs is None:
+            exprs = _vertex_expressions(self)
+            object.__setattr__(self, "_vertex_expressions", exprs)
         return tuple((exprs[s.gen], s.exp) for s in el.syllables)
 
     def rewrite_in_generators(self, el: Word) -> tuple[tuple[str, int], ...]:
@@ -193,12 +200,6 @@ def _spheres(group, steps):
         sphere = nxt
 
 
-# Vertex expressions per handle: a bounded search that every rewrite of an
-# obfuscated handle's elements needs.
-_VEXPR_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_VEXPR_CACHE_SIZE)
 def _vertex_expressions(handle: GroupHandle) -> dict[str, tuple[tuple[str, int], ...]]:
     graph = handle.graph
     wanted = {W.canonical_key(Word(graph, (W.Syllable(v, 1),))): v
@@ -447,49 +448,45 @@ def ac_map_symbols(a: ACWord, fn: Callable, new_base) -> ACWord:
 # Commutation graphs and equality
 # ---------------------------------------------------------------------------
 
-def _sanitize(texts: Iterable[str]) -> list[str]:
-    """Distinct vertex names for the given texts, in order: characters outside
-    ``[A-Za-z0-9_]`` become '_', the empty text becomes 'e', and a name already
-    taken gets '_' appended until it is new."""
-    names: list[str] = []
-    for text in texts:
-        name = re.sub(r"[^A-Za-z0-9_]", "_", text) or "e"
-        while name in names:
-            name += "_"
-        names.append(name)
-    return names
-
-
-def _commuting_graph(group, names: list[str], elements: list) -> Graph:
-    """The graph on the given vertex names, adjacent where the elements commute."""
-    n = len(names)
-    return validate_graph(names, [(names[i], names[j]) for i in range(n)
-                                  for j in range(i + 1, n)
-                                  if group.commutes(elements[i], elements[j])])
-
-
-def _commutation_graph(base, elements) -> tuple[Graph, dict, dict]:
+def _symbol_graph(base, elements) -> tuple[Graph, dict, list[str]]:
+    """The commutation graph on the distinct elements, its labeling from vertex
+    names to canonical elements, and the vertex name of each element in turn.
+    Each element is keyed once, and each distinct one canonicalized once."""
+    keys = []
     canon: dict = {}
     for el in elements:
-        c = base.canonical(el)
-        canon.setdefault(base.key(c), c)
-    keys = sorted(canon, key=repr)
-    return _named_commutation_graph(base, tuple((k, canon[k]) for k in keys))
+        k = base.key(el)
+        keys.append(k)
+        if k not in canon:
+            canon[k] = base.canonical(el)
+    graph, labeling, name_by_key = _named_commutation_graph(
+        base, tuple((k, canon[k]) for k in sorted(canon, key=repr)))
+    return graph, labeling, [name_by_key[k] for k in keys]
 
 
 # Localized commutation graphs, keyed by the base and the (key, canonical
 # element) pairs of their vertices: symbol words over the same symbols share one.
-_CGRAPH_CACHE_SIZE = 30_000
+_CGRAPH_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=_CGRAPH_CACHE_SIZE)
 def _named_commutation_graph(base, canon: tuple) -> tuple[Graph, dict, dict]:
+    """Vertices are named after the elements' texts, taken in text order:
+    characters outside ``[A-Za-z0-9_]`` become '_', the empty text becomes
+    'e', and a name already taken gets '_' appended until it is new."""
     items = sorted(((base.text(c), k, c) for k, c in canon),
                    key=lambda t: (t[0], repr(t[1])))
-    names = _sanitize(text for text, _, _ in items)
+    names: list[str] = []
+    for text, _, _ in items:
+        name = re.sub(r"[^A-Za-z0-9_]", "_", text) or "e"
+        while name in names:
+            name += "_"
+        names.append(name)
     elements = [c for _, _, c in items]
-    name_by_key = {k: name for name, (_, k, _) in zip(names, items)}
-    return _commuting_graph(base, names, elements), dict(zip(names, elements)), name_by_key
+    edges = [(names[i], names[j]) for i in range(len(names))
+             for j in range(i + 1, len(names)) if base.commutes(elements[i], elements[j])]
+    return (validate_graph(names, edges), dict(zip(names, elements)),
+            {k: name for name, (_, k, _) in zip(names, items)})
 
 
 def commutation_graph(base, elements) -> tuple[Graph, dict]:
@@ -498,40 +495,32 @@ def commutation_graph(base, elements) -> tuple[Graph, dict]:
     Returns the graph together with a labeling from vertex names back to the
     canonical elements.
     """
-    graph, labeling, _ = _commutation_graph(base, elements)
-    return graph, labeling
-
-
-def _interpret(a: ACWord, graph: Graph, name_by_key: dict, base) -> Word:
-    sylls = tuple(W.Syllable(name_by_key[base.key(sym.element)], exp)
-                  for sym, exp in a.letters)
-    return Word(graph, sylls)
+    graph, labeling, _ = _symbol_graph(base, elements)
+    return graph, dict(labeling)
 
 
 def ac_equals(a: ACWord, b: ACWord) -> bool:
     """Group equality of symbol words, decided on the joint commutation graph."""
     if a.base != b.base:
         raise BaseMismatch("symbol words live over different bases")
-    base = a.base
-    symbols = [sym.element for sym, _ in a.letters] + \
-              [sym.element for sym, _ in b.letters]
-    if not symbols:
+    letters = a.letters + b.letters
+    if not letters:
         return True
-    graph, _, name_by_key = _commutation_graph(base, symbols)
-    return W.equals(_interpret(a, graph, name_by_key, base),
-                    _interpret(b, graph, name_by_key, base))
+    graph, _, names = _symbol_graph(a.base, [sym.element for sym, _ in letters])
+    sylls = tuple(W.Syllable(name, exp) for name, (_, exp) in zip(names, letters))
+    n = len(a.letters)
+    return W.equals(Word(graph, sylls[:n]), Word(graph, sylls[n:]))
 
 
 def ac_canonical(a: ACWord) -> ACWord:
     """A canonical representative, computed on the word's own symbol graph."""
     if not a.letters:
         return a
-    base = a.base
-    graph, labeling, name_by_key = _commutation_graph(
-        base, [sym.element for sym, _ in a.letters])
-    canon = W.canonical_form(_interpret(a, graph, name_by_key, base))
-    letters = tuple((ACSymbol(labeling[s.gen]), s.exp) for s in canon.syllables)
-    return ACWord(base, letters)
+    graph, labeling, names = _symbol_graph(a.base, [sym.element for sym, _ in a.letters])
+    canon = W.canonical_form(Word(graph, tuple(
+        W.Syllable(name, exp) for name, (_, exp) in zip(names, a.letters))))
+    return ACWord(a.base, tuple((ACSymbol(labeling[s.gen]), s.exp)
+                                for s in canon.syllables))
 
 
 def ac_key(a: ACWord) -> tuple:
@@ -567,11 +556,9 @@ def ac_on_hom(f: GroupHom, a: ACWord) -> ACWord:
 
 def eta(graph: Graph) -> GraphHom:
     """Embed a graph into the commutation graph of its one-letter generators."""
-    handle = raag_of_graph(graph)
     gens = [Word(graph, (W.Syllable(v, 1),)) for v in graph.vertices]
-    cg, _, name_by_key = _commutation_graph(handle, gens)
-    mapping = {v: name_by_key[W.canonical_key(g)] for v, g in zip(graph.vertices, gens)}
-    return validate_hom(graph, cg, mapping)
+    cg, _, names = _symbol_graph(raag_of_graph(graph), gens)
+    return validate_hom(graph, cg, dict(zip(graph.vertices, names)))
 
 
 # ---------------------------------------------------------------------------

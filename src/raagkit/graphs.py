@@ -5,6 +5,10 @@ self-loop: ``adjacent(g, v, v)`` is always true, but loops are never stored
 and may not appear in the edge set.  Vertex names are non-empty strings over
 ``[A-Za-z0-9_]`` and are kept in byte-wise lexicographic order; that order is
 the single source of truth for every canonical choice made downstream.
+
+A graph never changes, so what is derived from it alone (its vertex index and
+its dense adjacency table) is built on first use and kept on the graph: it
+lives exactly as long as the graph, and no module cache holds graphs.
 """
 
 from __future__ import annotations
@@ -48,6 +52,18 @@ class Graph:
             idx = {v: i for i, v in enumerate(self.vertices)}
             object.__setattr__(self, "_vertex_index", idx)
         return idx
+
+    @property
+    def adjacency(self) -> list[list[bool]]:
+        """Reflexive adjacency as a dense table over vertex indices."""
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            index = self.vertex_index
+            adj = [[i == j for j in range(len(index))] for i in range(len(index))]
+            for u, v in self.edges:
+                adj[index[u]][index[v]] = adj[index[v]][index[u]] = True
+            object.__setattr__(self, "_adjacency", adj)
+        return adj
 
     def degree(self, v: str) -> int:
         if not self.has_vertex(v):

@@ -24,13 +24,12 @@ from .errors import (
 from .functors import (
     ACSymbol,
     ACWord,
-    _commuting_graph,
     _normalize_letters,
-    _sanitize,
     _spheres,
     ac_equals,
     ac_key,
     ac_text,
+    commutation_graph,
 )
 from .graphs import Graph, validate_graph
 from .words import Word
@@ -230,14 +229,9 @@ def find_vertices(c: CoalgebraMap, rank: int, max_length: int) -> list:
 
 
 def recover_graph(c: CoalgebraMap, rank: int, max_length: int) -> tuple[Graph, dict]:
-    """Rebuild the presentation graph: recovered vertices, commuting as edges.
-
-    Returns the graph and a labeling from vertex names to group elements.
-    """
-    group = c.group
-    elements = sorted(find_vertices(c, rank, max_length), key=group.text)
-    names = _sanitize(map(group.text, elements))
-    return _commuting_graph(group, names, elements), dict(zip(names, elements))
+    """Rebuild the presentation graph: the commutation graph of the recovered
+    vertices, with a labeling from vertex names to group elements."""
+    return commutation_graph(c.group, find_vertices(c, rank, max_length))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ removed, and not before, since its deepest blocker lies in block i.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -65,25 +64,6 @@ class CentralForm:
 
     graph: Graph
     blocks: tuple[tuple[Syllable, ...], ...]
-
-
-# Per-graph working context: vertex indices plus a dense reflexive adjacency
-# table.  Every canonical-form call needs it, and graphs are immutable.
-_CTX_CACHE_SIZE = 50_000
-
-
-@functools.lru_cache(maxsize=_CTX_CACHE_SIZE)
-def _ctx(graph: Graph) -> tuple[dict[str, int], list[list[bool]]]:
-    index = graph.vertex_index
-    n = len(graph.vertices)
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        adj[i][i] = True
-    for u, v in graph.edges:
-        i, j = index[u], index[v]
-        adj[i][j] = True
-        adj[j][i] = True
-    return index, adj
 
 
 # An exponent, as every parser reads it: ASCII digits only (``\d`` also
@@ -133,7 +113,7 @@ def word_from_pairs(graph: Graph, pairs: Iterable[tuple[str, int]]) -> Word:
 
 def _layers(w: Word) -> list[list[tuple[int, int]]]:
     """The Foata layers of w's reduced word, as (vertex index, exponent)."""
-    index, adj = _ctx(w.graph)
+    index, adj = w.graph.vertex_index, w.graph.adjacency
     out: list[tuple[int, int] | None] = []
     # Per generator, the positions in out of its surviving syllables.
     alive: dict[int, list[int]] = {}
@@ -254,9 +234,10 @@ def power(w: Word, k: int) -> Word:
 
 
 def commutes(g: Word, h: Word) -> bool:
-    """True iff gh(hg)^-1 is the identity."""
+    """True iff gh and hg have the same canonical form."""
     _require_same_graph(g, h)
-    return is_identity(multiply(multiply(g, h), invert(multiply(h, g))))
+    return (_canonical_indexed(Word(g.graph, g.syllables + h.syllables))
+            == _canonical_indexed(Word(g.graph, h.syllables + g.syllables)))
 
 
 def support(w: Word) -> set[str]:

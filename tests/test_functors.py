@@ -1,6 +1,9 @@
+import gc
+import hashlib
 import importlib
 import pkgutil
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from raagkit import (
     ac_text,
     ac_word,
     adjacent,
+    canonical_form,
     commutation_graph,
     commutes,
     delta,
@@ -48,6 +52,7 @@ from raagkit import (
     word_from_pairs,
     word_text,
 )
+from raagkit import functors
 from raagkit.functors import ac_map_symbols
 from raagkit.oracle import bf_equals
 
@@ -180,6 +185,28 @@ def test_commutation_graph_deduplicates():
     els = [parse_word(CORPUS["k2"], t) for t in ("a b", "b a")]
     g, _ = commutation_graph(raag_of_graph(CORPUS["k2"]), els)
     assert len(g.vertices) == 1
+
+
+def test_commutation_graph_names_colliding_texts_in_text_order():
+    g = validate_graph(["a", "b", "a_b"], [("a", "b")])
+    els = [parse_word(g, t) for t in ("a b", "a_b", "b a")]
+    cg, labeling = commutation_graph(raag_of_graph(g), els)
+    assert cg.vertices == ("a_b", "a_b_")
+    assert cg.edges == frozenset()
+    assert {name: word_text(el) for name, el in labeling.items()} == \
+        {"a_b": "a b", "a_b_": "a_b"}
+
+
+def test_commutation_graph_labeling_is_the_callers_own():
+    k2 = CORPUS["k2"]
+    h = raag_of_graph(k2)
+    els = [parse_word(k2, t) for t in ("a", "b")]
+    _, labeling = commutation_graph(h, els)
+    labeling.clear()
+    _, again = commutation_graph(h, els)
+    assert sorted(again) == ["a", "b"]
+    x = parse_ac_word(h, "[a] [b]")
+    assert ac_text(ac_canonical(x)) == "[a] [b]"
 
 
 # -- symbol words ------------------------------------------------------------
@@ -366,6 +393,44 @@ def test_eta_on_free_graph_has_discrete_image():
     assert e.target.edges == frozenset()
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_eta_on_corpus_is_the_identity_onto_a_copy(name):
+    g = CORPUS[name]
+    e = eta(g)
+    assert e.target == g
+    assert e.mapping == {v: v for v in g.vertices}
+
+
+# -- symbol words: pinned digest over seeded words ---------------------------
+
+# sha256 of ac_text(ac_canonical(x)) and ac_equals(x, x with its letters
+# reversed) for 150 seeded symbol words on each corpus graph: 0-6 letters,
+# exponents in +-{1, 2}, over a pool of 1-4 non-identity symbols of 1-3
+# syllables each; any change to the symbol canonical form or to symbol-word
+# equality changes it.
+_SYMBOL_DIGEST = "c79eed27adc6fb1f53f5fd85c0c44b6701483e61c56834b9443d958a2a7f1913"
+
+
+def test_symbol_words_match_pinned_digest():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for g in CORPUS.values():
+        h = raag_of_graph(g)
+        for _ in range(150):
+            pool, size = [], rng.randint(1, 4)
+            while len(pool) < size:
+                el = word_from_pairs(g, [(rng.choice(g.vertices), rng.choice((1, -1, 2)))
+                                         for _ in range(rng.randint(1, 3))])
+                if not is_identity(el):
+                    pool.append(el)
+            letters = [(rng.choice(pool), rng.choice((1, -1, 2, -2)))
+                       for _ in range(rng.randint(0, 6))]
+            x = ac_word(h, letters)
+            reverse = ac_word(h, letters[::-1])
+            digest.update(f"{ac_text(ac_canonical(x))}|{ac_equals(x, reverse)}\n".encode())
+    assert digest.hexdigest() == _SYMBOL_DIGEST
+
+
 def test_adjacency_matches_commutation_everywhere():
     for g in CORPUS.values():
         for u in g.vertices:
@@ -385,8 +450,38 @@ def test_module_caches_are_bounded():
         for obj in vars(module).values():
             if hasattr(obj, "cache_info"):
                 caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
-    assert len(caches) == 5, caches
+    assert len(caches) == 3, caches
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_graph_adjacency_is_built_once_and_reflexive():
+    g = SQUARE
+    assert g.adjacency is g.adjacency
+    assert [[adjacent(g, u, v) for v in g.vertices] for u in g.vertices] == g.adjacency
+
+
+def test_graph_used_only_for_canonical_forms_is_collected():
+    g = validate_graph(["p", "q", "r"], [("p", "q")])
+    assert word_text(canonical_form(parse_word(g, "q p q^-1 r"))) == "p r"
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_vertex_expressions_are_computed_once_per_handle(monkeypatch):
+    calls = []
+    search = functors._vertex_expressions
+    monkeypatch.setattr(functors, "_vertex_expressions",
+                        lambda h: calls.append(h) or search(h))
+    generators = {"x": "a", "y": "b", "z": "c", "w": "d a"}
+    h = handle_with_generators(SQUARE, generators)
+    for text in ("d", "a d^2", "c b"):
+        h.rewrite_in_generators(parse_word(SQUARE, text))
+    assert len(calls) == 1
+    # an equal handle is another object, with expressions of its own
+    handle_with_generators(SQUARE, generators).rewrite_in_generators(parse_word(SQUARE, "d"))
+    assert len(calls) == 2
 
 
 # -- hypothesis: homs and symbol-word equality -------------------------------

@@ -20,6 +20,7 @@ from raagkit import (
     find_vertices,
     graphs_isomorphic,
     handle_with_generators,
+    make_coalgebra,
     parse_ac_word,
     parse_word,
     presentation,
@@ -30,6 +31,7 @@ from raagkit import (
     validate_matrix,
     word_text,
 )
+from raagkit.fileio import graph_data
 
 OBFUSCATED_RELATORS = [
     "x y x^-1 y^-1",
@@ -178,6 +180,29 @@ def test_recover_round_trip_small():
         assert graphs_isomorphic(recovered, g) is not None
         for vertex, element in labeling.items():
             assert word_text(element) == vertex
+
+
+def _disguised_coalgebra(g):
+    """The canonical structure on a disguised generating set: the first vertex
+    exposed as itself times the last (inverted on a one-vertex graph)."""
+    first, last = g.vertices[0], g.vertices[-1]
+    generators = {v: v for v in g.vertices}
+    generators[first] = f"{first}^-1" if first == last else f"{first} {last}"
+    handle = handle_with_generators(g, generators)
+    canon = canonical_coalgebra(g)
+    return make_coalgebra(handle, {name: ac_text(apply_structure(canon, el))
+                                   for name, el in handle.generator_items()})
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_recover_graph_pinned_on_corpus(name):
+    g = CORPUS[name]
+    for c in (canonical_coalgebra(g), _disguised_coalgebra(g)):
+        recovered, labeling = recover_graph(c, len(g.vertices), 2)
+        assert graph_data(recovered) == graph_data(g)
+        assert list(labeling) == list(g.vertices)
+        assert {v: word_text(el) for v, el in labeling.items()} == \
+            {v: v for v in g.vertices}
 
 
 # -- structure-map search ----------------------------------------------------

@@ -339,6 +339,29 @@ def test_equals_agrees_with_oracle(case):
     assert equals(w1, w2) == bf_equals(g, w1, w2)
 
 
+@st.composite
+def oracle_commuting_pairs(draw):
+    """Two words with at most 7 letters between them, so that gh and hg fit
+    the oracle's letter cap; h is often a word in generators that commute with
+    all of g's, so that many pairs commute."""
+    g = draw(graphs())
+    x = draw(words(g, 3, exponents=(1, -1, 2)).filter(lambda x: len(x) <= 4))
+    pool = [v for v in g.vertices
+            if all(v == s.gen or _adjacent(g, v, s.gen) for s in x.syllables)]
+    vertices = g.vertices if not pool or draw(st.booleans()) else pool
+    syllable = st.tuples(st.sampled_from(vertices), st.sampled_from((1, -1)))
+    y = draw(st.lists(syllable, max_size=3).map(lambda p: word_from_pairs(g, p)))
+    return g, x, y
+
+
+@_PROPERTY
+@given(oracle_commuting_pairs())
+def test_commutes_agrees_with_oracle(case):
+    g, x, y = case
+    assert commutes(x, y) == bf_equals(g, Word(g, x.syllables + y.syllables),
+                                       Word(g, y.syllables + x.syllables))
+
+
 @_PROPERTY
 @given(st.data())
 def test_canonical_form_is_idempotent_and_move_invariant(data):
