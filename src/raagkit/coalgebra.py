@@ -7,14 +7,14 @@ generator (counit), and rewrapping symbols agrees with pushing the map inside
 them (coassociativity).  A cohomomorphism between two structured groups is a
 group homomorphism that intertwines the structure maps.
 
-Structure maps and relators are multiplied out by the one evaluator of
-``functors`` (``_evaluate``), which freely reduces each symbol word once.
+A structure map is that homomorphism (``CoalgebraMap`` is a ``GroupHom``), so
+it and relators are multiplied out by ``functors._evaluate``, which freely
+reduces each symbol word once.  Its verdict is kept on the map.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from . import words as W
@@ -39,20 +39,16 @@ from .graphs import validate_hom
 from .words import Word
 
 
-@dataclass(frozen=True)
-class CoalgebraMap:
-    """A candidate structure map: one symbol word per exposed generator."""
+class CoalgebraMap(GroupHom):
+    """A candidate structure map: the hom from a group into its symbol group
+    given by one symbol word per exposed generator."""
 
-    group: object
-    images: tuple[tuple[str, ACWord], ...]
-    _hom: GroupHom = field(init=False, repr=False, compare=False)
+    def __init__(self, group, images: tuple[tuple[str, ACWord], ...]):
+        super().__init__(group, ACGroupHandle(group), images)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hom", GroupHom(self.group, ACGroupHandle(self.group),
-                                                  self.images))
-
-    def image_of(self, name: str) -> ACWord:
-        return self._hom.image_of(name)
+    @property
+    def group(self):
+        return self.source
 
 
 @dataclass(frozen=True)
@@ -111,17 +107,17 @@ def canonical_coalgebra(graph) -> CoalgebraMap:
 
 def apply_structure(c: CoalgebraMap, el) -> ACWord:
     """Extend the structure map multiplicatively to an arbitrary element."""
-    return c._hom.apply(el)
+    return c.apply(el)
 
 
 def is_homomorphism_to_acg(c: CoalgebraMap) -> tuple[bool, object]:
     """Check that images of presentation-graph edges commute, via pullback."""
-    edge = c._hom._noncommuting_edge()
+    edge = c._noncommuting_edge()
     return edge is None, edge
 
 
 def _relators_preserved(c: CoalgebraMap, relators: Iterable) -> tuple[bool, object]:
-    symbols = c._hom.target
+    symbols = c.target
     for rel in relators:
         image = _evaluate(symbols, ((c.image_of(s.gen), s.exp) for s in rel.syllables))
         if not ac_equals(image, symbols.identity()):
@@ -132,7 +128,7 @@ def _relators_preserved(c: CoalgebraMap, relators: Iterable) -> tuple[bool, obje
 def _counit_holds(c: CoalgebraMap) -> tuple[bool, str | None]:
     group = c.group
     for name, el in group.generator_items():
-        if not group.equal(epsilon(c.image_of(name)), el):
+        if group.key(epsilon(c.image_of(name))) != group.key(el):
             return False, name
     return True, None
 
@@ -187,20 +183,19 @@ def check_coalgebra(c: CoalgebraMap, relators: Iterable | None = None) -> Coalge
     return _comonad_verdict(c)
 
 
-# Verdicts of the check against the group's own graph, which is also the one
-# is_cohomomorphism needs, so a structure map already checked is not checked
-# again there.
-_VERDICT_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _graph_verdict(c: CoalgebraMap) -> CoalgebraVerdict:
-    if not hasattr(c.group, "graph"):
-        raise NotACoalgebra("no presentation graph and no relators to check against")
-    ok, witness = is_homomorphism_to_acg(c)
-    if not ok:
-        return CoalgebraVerdict(False, "homomorphism", witness)
-    return _comonad_verdict(c)
+    """The check against the group's own graph, which is also the one
+    is_cohomomorphism needs.  The verdict is kept on the map, so a structure
+    map already checked is not checked again there."""
+    verdict = c.__dict__.get("_verdict")
+    if verdict is None:
+        if not hasattr(c.group, "graph"):
+            raise NotACoalgebra("no presentation graph and no relators to check against")
+        ok, witness = is_homomorphism_to_acg(c)
+        verdict = (_comonad_verdict(c) if ok
+                   else CoalgebraVerdict(False, "homomorphism", witness))
+        object.__setattr__(c, "_verdict", verdict)
+    return verdict
 
 
 def _comonad_verdict(c: CoalgebraMap) -> CoalgebraVerdict:

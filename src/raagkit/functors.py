@@ -6,19 +6,21 @@ over the graph are multiplied, inverted, canonicalized and compared here.
 
 On top of a handle sits the free commutation-symbol group: words whose letters
 are formal symbols ``[g]``, one per group element, where ``[g]`` and ``[h]``
-commute exactly when ``g`` and ``h`` commute in the base group.  That group is
-never materialized; every computation is localized to the finite commutation
-graph spanned by the symbols actually in play.  ``ACGroupHandle`` makes the
-construction iterable, so symbol words over symbol words (as needed by the
-coassociativity diagnostics) run through the same code path.  Every symbol
-word reaches its commutation graph through ``_symbol_graph``, which keys each
-symbol once and names each distinct one; graphs over the same symbols come
-from one bounded cache.  What derives from a handle alone, such as the
-vertex expressions of an obfuscated one, is kept on the handle.
+commute exactly when ``g`` and ``h`` commute in the base group.  A letter is
+held as (canonical element, exponent).  That group is never materialized;
+every computation is localized to the finite commutation graph spanned by the
+symbols actually in play.  ``ACGroupHandle`` makes the construction iterable,
+so symbol words over symbol words (as needed by the coassociativity
+diagnostics) run through the same code path.  Every symbol word reaches its
+commutation graph through ``_symbol_graph``, which keys each symbol once,
+names each distinct one and orders them by a key of the symbol alone; graphs
+over the same symbols come from one bounded cache.  What derives from a handle
+alone, such as the vertex expressions of an obfuscated one, is kept on it.
 
 Words in generators are multiplied out by one evaluator, ``_evaluate``: it
 powers each (element, k) factor by squaring and canonicalizes once.  Homs,
-``epsilon`` and the structure maps of ``coalgebra`` all go through it.
+``epsilon`` (a symbol word's letters as they stand) and the structure maps of
+``coalgebra``, which are homs into the symbol group, all go through it.
 """
 
 from __future__ import annotations
@@ -98,9 +100,6 @@ class GroupHandle:
 
     def text(self, el: Word) -> str:
         return W.word_text(el)
-
-    def equal(self, a: Word, b: Word) -> bool:
-        return W.equals(a, b)
 
     def is_identity(self, el: Word) -> bool:
         return W.is_identity(el)
@@ -312,24 +311,15 @@ def a_on_hom(phi: GraphHom) -> GroupHom:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ACSymbol:
-    """A formal symbol [g] wrapping a canonical base-group element."""
-
-    element: object
-
-    def __repr__(self):
-        return f"ACSymbol({self.element!r})"
-
-
-@dataclass(frozen=True)
 class ACWord:
-    """A word in commutation symbols over a base group handle.
+    """A word in commutation symbols over a base group handle: each letter is
+    (canonical base element, exponent), the element standing for its symbol.
 
     Structural equality is syntactic; group equality is ``ac_equals``.
     """
 
     base: object
-    letters: tuple[tuple[ACSymbol, int], ...]
+    letters: tuple[tuple[object, int], ...]
 
     def is_identity_word(self) -> bool:
         return not self.letters
@@ -356,9 +346,6 @@ class ACGroupHandle:
     def text(self, el: ACWord) -> str:
         return ac_text(el)
 
-    def equal(self, a: ACWord, b: ACWord) -> bool:
-        return ac_equals(a, b)
-
     def is_identity(self, el: ACWord) -> bool:
         return not ac_canonical(el).letters
 
@@ -378,19 +365,19 @@ class ACGroupHandle:
         return ac_equals(ac_concat(a, b), ac_concat(b, a))
 
 
-def _normalize_letters(letters: Iterable[tuple[ACSymbol, int]]) -> tuple:
-    out: list[tuple[ACSymbol, int]] = []
-    for sym, exp in letters:
+def _normalize_letters(letters: Iterable[tuple[object, int]]) -> tuple:
+    out: list[tuple[object, int]] = []
+    for el, exp in letters:
         if exp == 0:
             continue
-        if out and out[-1][0] == sym:
+        if out and out[-1][0] == el:
             merged = out[-1][1] + exp
             if merged == 0:
                 out.pop()
             else:
-                out[-1] = (sym, merged)
+                out[-1] = (el, merged)
         else:
-            out.append((sym, exp))
+            out.append((el, exp))
     return tuple(out)
 
 
@@ -402,15 +389,13 @@ def ac_word(base, letters: Iterable[tuple[object, int]]) -> ACWord:
     """
     prepared = []
     for el, exp in letters:
-        if isinstance(el, ACSymbol):
-            el = el.element
         if exp == 0:
             raise ZeroExponent("zero exponent in a symbol word")
         canon = base.canonical(el)
         if base.is_identity(canon):
             warnings.warn("symbol word uses the identity as a symbol",
                           IdentitySymbolWarning, stacklevel=2)
-        prepared.append((ACSymbol(canon), exp))
+        prepared.append((canon, exp))
     return ACWord(base, _normalize_letters(prepared))
 
 
@@ -425,7 +410,7 @@ def ac_concat(a: ACWord, *rest: ACWord) -> ACWord:
 
 
 def ac_invert(a: ACWord) -> ACWord:
-    flipped = tuple((sym, -exp) for sym, exp in reversed(a.letters))
+    flipped = tuple((el, -exp) for el, exp in reversed(a.letters))
     return ACWord(a.base, flipped)
 
 
@@ -439,8 +424,7 @@ def ac_power(a: ACWord, k: int) -> ACWord:
 
 def ac_map_symbols(a: ACWord, fn: Callable, new_base) -> ACWord:
     """Apply fn to every symbol's element, keeping outer exponents."""
-    letters = [(ACSymbol(new_base.canonical(fn(sym.element))), exp)
-               for sym, exp in a.letters]
+    letters = [(new_base.canonical(fn(el)), exp) for el, exp in a.letters]
     return ACWord(new_base, _normalize_letters(letters))
 
 
@@ -451,7 +435,9 @@ def ac_map_symbols(a: ACWord, fn: Callable, new_base) -> ACWord:
 def _symbol_graph(base, elements) -> tuple[Graph, dict, list[str]]:
     """The commutation graph on the distinct elements, its labeling from vertex
     names to canonical elements, and the vertex name of each element in turn.
-    Each element is keyed once, and each distinct one canonicalized once."""
+    Each element is keyed once, and each distinct one canonicalized once.  The
+    graph lists its vertices in symbol order (see ``_named_commutation_graph``),
+    which is name order unless two texts share a plain name."""
     keys = []
     canon: dict = {}
     for el in elements:
@@ -472,20 +458,25 @@ _CGRAPH_CACHE_SIZE = 1024
 @functools.lru_cache(maxsize=_CGRAPH_CACHE_SIZE)
 def _named_commutation_graph(base, canon: tuple) -> tuple[Graph, dict, dict]:
     """Vertices are named after the elements' texts, taken in text order:
-    characters outside ``[A-Za-z0-9_]`` become '_', the empty text becomes
-    'e', and a name already taken gets '_' appended until it is new."""
+    characters outside ``[A-Za-z0-9_]`` become '_' (the plain name), the empty
+    text becomes 'e', and a name already taken gets '_' appended until it is
+    new.  Canonical forms follow vertex order, and a suffix depends on which
+    other symbols are present, so the graph lists its vertices by a key of the
+    symbol alone, (plain name, text, key), rather than by name."""
     items = sorted(((base.text(c), k, c) for k, c in canon),
                    key=lambda t: (t[0], repr(t[1])))
+    plain = [re.sub(r"[^A-Za-z0-9_]", "_", text) or "e" for text, _, _ in items]
     names: list[str] = []
-    for text, _, _ in items:
-        name = re.sub(r"[^A-Za-z0-9_]", "_", text) or "e"
+    for name in plain:
         while name in names:
             name += "_"
         names.append(name)
     elements = [c for _, _, c in items]
     edges = [(names[i], names[j]) for i in range(len(names))
              for j in range(i + 1, len(names)) if base.commutes(elements[i], elements[j])]
-    return (validate_graph(names, edges), dict(zip(names, elements)),
+    order = sorted(range(len(names)), key=plain.__getitem__)
+    graph = Graph(tuple(names[i] for i in order), validate_graph(names, edges).edges)
+    return (graph, dict(zip(names, elements)),
             {k: name for name, (_, k, _) in zip(names, items)})
 
 
@@ -496,7 +487,7 @@ def commutation_graph(base, elements) -> tuple[Graph, dict]:
     canonical elements.
     """
     graph, labeling, _ = _symbol_graph(base, elements)
-    return graph, dict(labeling)
+    return validate_graph(graph.vertices, graph.edges), dict(labeling)
 
 
 def ac_equals(a: ACWord, b: ACWord) -> bool:
@@ -506,7 +497,7 @@ def ac_equals(a: ACWord, b: ACWord) -> bool:
     letters = a.letters + b.letters
     if not letters:
         return True
-    graph, _, names = _symbol_graph(a.base, [sym.element for sym, _ in letters])
+    graph, _, names = _symbol_graph(a.base, [el for el, _ in letters])
     sylls = tuple(W.Syllable(name, exp) for name, (_, exp) in zip(names, letters))
     n = len(a.letters)
     return W.equals(Word(graph, sylls[:n]), Word(graph, sylls[n:]))
@@ -516,17 +507,15 @@ def ac_canonical(a: ACWord) -> ACWord:
     """A canonical representative, computed on the word's own symbol graph."""
     if not a.letters:
         return a
-    graph, labeling, names = _symbol_graph(a.base, [sym.element for sym, _ in a.letters])
+    graph, labeling, names = _symbol_graph(a.base, [el for el, _ in a.letters])
     canon = W.canonical_form(Word(graph, tuple(
         W.Syllable(name, exp) for name, (_, exp) in zip(names, a.letters))))
-    return ACWord(a.base, tuple((ACSymbol(labeling[s.gen]), s.exp)
-                                for s in canon.syllables))
+    return ACWord(a.base, tuple((labeling[s.gen], s.exp) for s in canon.syllables))
 
 
 def ac_key(a: ACWord) -> tuple:
     base = a.base
-    return tuple((base.key(sym.element), exp)
-                 for sym, exp in ac_canonical(a).letters)
+    return tuple((base.key(el), exp) for el, exp in ac_canonical(a).letters)
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +524,13 @@ def ac_key(a: ACWord) -> tuple:
 
 def epsilon(a: ACWord):
     """Multiply the symbols out in the base group."""
-    return _evaluate(a.base, ((sym.element, exp) for sym, exp in a.letters))
+    return _evaluate(a.base, a.letters)
 
 
 def delta(a: ACWord) -> ACWord:
     """Rewrap every symbol: [g] becomes [[g]], exponents unchanged."""
     outer = ACGroupHandle(a.base)
-    letters = tuple(
-        (ACSymbol(ACWord(a.base, ((sym, 1),))), exp) for sym, exp in a.letters
-    )
-    return ACWord(outer, letters)
+    return ACWord(outer, tuple((ACWord(a.base, ((el, 1),)), exp) for el, exp in a.letters))
 
 
 def ac_on_hom(f: GroupHom, a: ACWord) -> ACWord:
@@ -569,8 +555,8 @@ def ac_text(a: ACWord) -> str:
     """Render a symbol word; the identity renders as the empty string."""
     base = a.base
     parts = []
-    for sym, exp in a.letters:
-        body = f"[{base.text(sym.element)}]"
+    for el, exp in a.letters:
+        body = f"[{base.text(el)}]"
         parts.append(body if exp == 1 else f"{body}^{exp}")
     return " ".join(parts)
 

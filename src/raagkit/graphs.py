@@ -3,8 +3,9 @@
 Graphs here are simple and symmetric, and every vertex carries an implicit
 self-loop: ``adjacent(g, v, v)`` is always true, but loops are never stored
 and may not appear in the edge set.  Vertex names are non-empty strings over
-``[A-Za-z0-9_]`` and are kept in byte-wise lexicographic order; that order is
-the single source of truth for every canonical choice made downstream.
+``[A-Za-z0-9_]``, which ``validate_graph`` lists in byte-wise lexicographic
+order; vertex order is the single source of truth for every canonical choice
+made downstream.
 
 A graph never changes, so what is derived from it alone (its vertex index and
 its dense adjacency table) is built on first use and kept on the graph: it

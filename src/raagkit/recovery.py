@@ -22,7 +22,6 @@ from .errors import (
     WordSyntaxError,
 )
 from .functors import (
-    ACSymbol,
     ACWord,
     _normalize_letters,
     _spheres,
@@ -207,7 +206,7 @@ def enumerate_elements(group, max_length: int) -> Iterator:
 # ---------------------------------------------------------------------------
 
 def _is_vertex_like(c: CoalgebraMap, el) -> bool:
-    target = ACWord(c.group, ((ACSymbol(el), 1),))
+    target = ACWord(c.group, ((el, 1),))
     return ac_equals(apply_structure(c, el), target)
 
 
@@ -276,8 +275,7 @@ def search_coalgebra(p: FinitePresentation, wp, symbol_budget: int,
         out: dict = {}
 
         def note(seq):
-            word = ACWord(wp, _normalize_letters(
-                (ACSymbol(el), exp) for el, exp, _, _, _ in seq))
+            word = ACWord(wp, _normalize_letters((el, exp) for el, exp, _, _, _ in seq))
             size = sum(abs(exp) * (1 + depth) for _, exp, depth, _, _ in seq)
             key = ac_key(word)
             text = ac_text(word)
@@ -394,9 +392,6 @@ class FiniteTableGroup:
 
     def text(self, el: int) -> str:
         return self.names[el]
-
-    def equal(self, a: int, b: int) -> bool:
-        return a == b
 
     def is_identity(self, el: int) -> bool:
         return el == self._identity

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS, SQUARE, graph
 from raagkit import (
+    ACGroupHandle,
     EndsMismatch,
+    GroupHom,
     NotACoalgebra,
     NotAHomomorphism,
     SearchSpaceTooLarge,
@@ -31,7 +33,7 @@ from raagkit import (
     validate_hom,
     word_from_pairs,
 )
-from raagkit.coalgebra import _graph_verdict
+from raagkit import coalgebra
 
 ONE_V = CORPUS["one"]
 ONE_W = graph("w")
@@ -70,6 +72,15 @@ def test_apply_structure_examples():
     c_v = canonical_coalgebra(ONE_V)
     assert ac_text(apply_structure(c_v, parse_word(ONE_V, "v^3"))) == "[v]^3"
     assert ac_text(apply_structure(c_v, parse_word(ONE_V, ""))) == ""
+
+
+def test_structure_map_is_the_hom_into_its_symbol_group():
+    c = canonical_coalgebra(SQUARE)
+    assert isinstance(c, GroupHom)
+    assert c.group is c.source
+    assert c.target == ACGroupHandle(c.group)
+    el = parse_word(SQUARE, "a b^2 c^-1 d")
+    assert apply_structure(c, el) == c.apply(el)
 
 
 def test_apply_structure_inverts_images():
@@ -128,6 +139,38 @@ def test_direct_axiom_checks_demand_a_homomorphism():
         check_coassociativity(bad)
 
 
+def count_axiom_runs(monkeypatch) -> list:
+    """Record every map on which the homomorphism axiom, the first of the
+    graph check, or the counit and coassociativity axioms run."""
+    runs = []
+    for name in ("is_homomorphism_to_acg", "_comonad_verdict"):
+        check = getattr(coalgebra, name)
+        monkeypatch.setattr(coalgebra, name,
+                            lambda c, check=check, name=name: runs.append((name, c)) or check(c))
+    return runs
+
+
+def test_axioms_run_once_per_map_object(monkeypatch):
+    runs = count_axiom_runs(monkeypatch)
+    c = canonical_coalgebra(CORPUS["paw"])
+    assert check_coalgebra(c).ok
+    assert check_coalgebra(c).ok
+    assert [name for name, _ in runs] == ["is_homomorphism_to_acg", "_comonad_verdict"]
+    # an equal map is another object, with a verdict of its own
+    twin = canonical_coalgebra(CORPUS["paw"])
+    assert twin == c and twin is not c
+    assert check_coalgebra(twin).ok
+    assert len(runs) == 4 and all(m is twin for _, m in runs[2:])
+
+
+def test_a_failed_verdict_is_kept_too(monkeypatch):
+    runs = count_axiom_runs(monkeypatch)
+    c = coalg(HV, {"v": "[v^2]"})
+    assert check_coalgebra(c).describe() == "counit failed at v"
+    assert check_coalgebra(c).describe() == "counit failed at v"
+    assert len(runs) == 2
+
+
 def test_direct_axiom_checks_on_good_input():
     c = canonical_coalgebra(SQUARE)
     assert check_counit(c) == (True, None)
@@ -162,14 +205,14 @@ def test_identity_is_a_cohomomorphism():
     assert ok
 
 
-def test_cohomomorphism_does_not_recheck_a_checked_coalgebra():
+def test_cohomomorphism_does_not_recheck_a_checked_coalgebra(monkeypatch):
     c = canonical_coalgebra(CORPUS["paw"])
     assert check_coalgebra(c).ok
     f = a_on_hom(validate_hom(c.group.graph, c.group.graph,
                               {v: v for v in c.group.graph.vertices}))
-    hits = _graph_verdict.cache_info().hits
+    runs = count_axiom_runs(monkeypatch)
     assert is_cohomomorphism(f, c, c)[0]
-    assert _graph_verdict.cache_info().hits == hits + 2
+    assert runs == []
 
 
 def test_identity_on_transported_coalgebra():
