@@ -12,10 +12,13 @@ every computation is localized to the finite commutation graph spanned by the
 symbols actually in play.  ``ACGroupHandle`` makes the construction iterable,
 so symbol words over symbol words (as needed by the coassociativity
 diagnostics) run through the same code path.  Every symbol word reaches its
-commutation graph through ``_symbol_graph``, which keys each symbol once,
-names each distinct one and orders them by a key of the symbol alone; graphs
-over the same symbols come from one bounded cache.  What derives from a handle
-alone, such as the vertex expressions of an obfuscated one, is kept on it.
+commutation graph through ``_symbol_graph``, which finds it by the set of the
+word's canonical symbols in one bounded cache; a new graph keys and names each
+symbol once and orders them by a key of the symbol alone.  ``ac_canonical``,
+``ac_key`` and ``ac_equals`` all read one canonical form, computed on the
+word's own graph.  What derives from a handle alone, such as the vertex
+expressions of an obfuscated one, is kept on it, and a graph keeps its default
+handle.
 
 Words in generators are multiplied out by one evaluator, ``_evaluate``: it
 powers each (element, k) factor by squaring and canonicalizes once.  Homs,
@@ -101,9 +104,6 @@ class GroupHandle:
     def text(self, el: Word) -> str:
         return W.word_text(el)
 
-    def is_identity(self, el: Word) -> bool:
-        return W.is_identity(el)
-
     def multiply(self, a: Word, b: Word) -> Word:
         return W.multiply(a, b)
 
@@ -147,9 +147,13 @@ class GroupHandle:
 
 
 def raag_of_graph(graph: Graph) -> GroupHandle:
-    """The default handle: one exposed generator per vertex."""
-    exposed = tuple((v, Word(graph, (W.Syllable(v, 1),))) for v in graph.vertices)
-    return GroupHandle(graph, exposed)
+    """The default handle: one exposed generator per vertex, kept on the graph."""
+    handle = graph.__dict__.get("_raag")
+    if handle is None:
+        exposed = tuple((v, Word(graph, (W.Syllable(v, 1),))) for v in graph.vertices)
+        handle = GroupHandle(graph, exposed)
+        object.__setattr__(graph, "_raag", handle)
+    return handle
 
 
 def handle_with_generators(graph: Graph,
@@ -314,15 +318,14 @@ def a_on_hom(phi: GraphHom) -> GroupHom:
 class ACWord:
     """A word in commutation symbols over a base group handle: each letter is
     (canonical base element, exponent), the element standing for its symbol.
+    Canonical elements are a precondition, which ``ac_word`` and
+    ``parse_ac_word`` establish and every other operation here keeps.
 
     Structural equality is syntactic; group equality is ``ac_equals``.
     """
 
     base: object
     letters: tuple[tuple[object, int], ...]
-
-    def is_identity_word(self) -> bool:
-        return not self.letters
 
 
 @dataclass(frozen=True)
@@ -345,9 +348,6 @@ class ACGroupHandle:
 
     def text(self, el: ACWord) -> str:
         return ac_text(el)
-
-    def is_identity(self, el: ACWord) -> bool:
-        return not ac_canonical(el).letters
 
     def multiply(self, a: ACWord, b: ACWord) -> ACWord:
         return ac_concat(a, b)
@@ -392,7 +392,7 @@ def ac_word(base, letters: Iterable[tuple[object, int]]) -> ACWord:
         if exp == 0:
             raise ZeroExponent("zero exponent in a symbol word")
         canon = base.canonical(el)
-        if base.is_identity(canon):
+        if canon == base.identity():
             warnings.warn("symbol word uses the identity as a symbol",
                           IdentitySymbolWarning, stacklevel=2)
         prepared.append((canon, exp))
@@ -433,37 +433,32 @@ def ac_map_symbols(a: ACWord, fn: Callable, new_base) -> ACWord:
 # ---------------------------------------------------------------------------
 
 def _symbol_graph(base, elements) -> tuple[Graph, dict, list[str]]:
-    """The commutation graph on the distinct elements, its labeling from vertex
-    names to canonical elements, and the vertex name of each element in turn.
-    Each element is keyed once, and each distinct one canonicalized once.  The
-    graph lists its vertices in symbol order (see ``_named_commutation_graph``),
+    """The commutation graph on the distinct elements, a map from its vertex
+    names to (element, key), and the vertex name of each element in turn.
+    The elements must be canonical, as a symbol word's letters are (``ac_word``
+    and ``parse_ac_word`` make them so): the graph is found by the set of
+    them, so a cached one costs no key, no canonical form and no sort.  It
+    lists its vertices in symbol order (see ``_named_commutation_graph``),
     which is name order unless two texts share a plain name."""
-    keys = []
-    canon: dict = {}
-    for el in elements:
-        k = base.key(el)
-        keys.append(k)
-        if k not in canon:
-            canon[k] = base.canonical(el)
-    graph, labeling, name_by_key = _named_commutation_graph(
-        base, tuple((k, canon[k]) for k in sorted(canon, key=repr)))
-    return graph, labeling, [name_by_key[k] for k in keys]
+    graph, by_name, name_of = _named_commutation_graph(base, frozenset(elements))
+    return graph, by_name, [name_of[el] for el in elements]
 
 
-# Localized commutation graphs, keyed by the base and the (key, canonical
-# element) pairs of their vertices: symbol words over the same symbols share one.
+# Localized commutation graphs, keyed by the base and the set of canonical
+# elements on their vertices: symbol words over the same symbols share one.
 _CGRAPH_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=_CGRAPH_CACHE_SIZE)
-def _named_commutation_graph(base, canon: tuple) -> tuple[Graph, dict, dict]:
+def _named_commutation_graph(base, elements: frozenset) -> tuple[Graph, dict, dict]:
     """Vertices are named after the elements' texts, taken in text order:
     characters outside ``[A-Za-z0-9_]`` become '_' (the plain name), the empty
     text becomes 'e', and a name already taken gets '_' appended until it is
     new.  Canonical forms follow vertex order, and a suffix depends on which
     other symbols are present, so the graph lists its vertices by a key of the
-    symbol alone, (plain name, text, key), rather than by name."""
-    items = sorted(((base.text(c), k, c) for k, c in canon),
+    symbol alone, (plain name, text, key), rather than by name.  Returns the
+    graph, a map from names to (element, key), and the name of each element."""
+    items = sorted(((base.text(c), base.key(c), c) for c in elements),
                    key=lambda t: (t[0], repr(t[1])))
     plain = [re.sub(r"[^A-Za-z0-9_]", "_", text) or "e" for text, _, _ in items]
     names: list[str] = []
@@ -471,51 +466,55 @@ def _named_commutation_graph(base, canon: tuple) -> tuple[Graph, dict, dict]:
         while name in names:
             name += "_"
         names.append(name)
-    elements = [c for _, _, c in items]
     edges = [(names[i], names[j]) for i in range(len(names))
-             for j in range(i + 1, len(names)) if base.commutes(elements[i], elements[j])]
+             for j in range(i + 1, len(names)) if base.commutes(items[i][2], items[j][2])]
     order = sorted(range(len(names)), key=plain.__getitem__)
     graph = Graph(tuple(names[i] for i in order), validate_graph(names, edges).edges)
-    return (graph, dict(zip(names, elements)),
-            {k: name for name, (_, k, _) in zip(names, items)})
+    return (graph, {name: (c, k) for name, (_, k, c) in zip(names, items)},
+            {c: name for name, (_, _, c) in zip(names, items)})
 
 
 def commutation_graph(base, elements) -> tuple[Graph, dict]:
-    """The commutation graph on the given elements, deduplicated.
+    """The commutation graph on the given elements, deduplicated, with its
+    vertices in name order.
 
     Returns the graph together with a labeling from vertex names back to the
     canonical elements.
     """
-    graph, labeling, _ = _symbol_graph(base, elements)
-    return validate_graph(graph.vertices, graph.edges), dict(labeling)
+    graph, by_name, _ = _named_commutation_graph(
+        base, frozenset(base.canonical(el) for el in elements))
+    return (Graph(tuple(sorted(graph.vertices)), graph.edges),
+            {name: el for name, (el, _) in by_name.items()})
+
+
+def _canonical_letters(a: ACWord) -> tuple:
+    """The canonical letters of a, as ((element, key), exponent), computed on
+    the word's own symbol graph."""
+    if not a.letters:
+        return ()
+    graph, by_name, names = _symbol_graph(a.base, [el for el, _ in a.letters])
+    canon = W.canonical_form(Word(graph, tuple(
+        W.Syllable(name, exp) for name, (_, exp) in zip(names, a.letters))))
+    return tuple((by_name[s.gen], s.exp) for s in canon.syllables)
 
 
 def ac_equals(a: ACWord, b: ACWord) -> bool:
-    """Group equality of symbol words, decided on the joint commutation graph."""
+    """Group equality of symbol words: their canonical letters agree, as
+    (element, key) pairs, exactly when their keys do."""
     if a.base != b.base:
         raise BaseMismatch("symbol words live over different bases")
-    letters = a.letters + b.letters
-    if not letters:
-        return True
-    graph, _, names = _symbol_graph(a.base, [el for el, _ in letters])
-    sylls = tuple(W.Syllable(name, exp) for name, (_, exp) in zip(names, letters))
-    n = len(a.letters)
-    return W.equals(Word(graph, sylls[:n]), Word(graph, sylls[n:]))
+    return _canonical_letters(a) == _canonical_letters(b)
 
 
 def ac_canonical(a: ACWord) -> ACWord:
     """A canonical representative, computed on the word's own symbol graph."""
     if not a.letters:
         return a
-    graph, labeling, names = _symbol_graph(a.base, [el for el, _ in a.letters])
-    canon = W.canonical_form(Word(graph, tuple(
-        W.Syllable(name, exp) for name, (_, exp) in zip(names, a.letters))))
-    return ACWord(a.base, tuple((labeling[s.gen], s.exp) for s in canon.syllables))
+    return ACWord(a.base, tuple((el, exp) for (el, _), exp in _canonical_letters(a)))
 
 
 def ac_key(a: ACWord) -> tuple:
-    base = a.base
-    return tuple((base.key(el), exp) for el, exp in ac_canonical(a).letters)
+    return tuple((k, exp) for (_, k), exp in _canonical_letters(a))
 
 
 # ---------------------------------------------------------------------------

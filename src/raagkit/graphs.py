@@ -7,9 +7,10 @@ and may not appear in the edge set.  Vertex names are non-empty strings over
 order; vertex order is the single source of truth for every canonical choice
 made downstream.
 
-A graph never changes, so what is derived from it alone (its vertex index and
-its dense adjacency table) is built on first use and kept on the graph: it
-lives exactly as long as the graph, and no module cache holds graphs.
+A graph never changes, so what is derived from it alone (its vertex index, its
+dense adjacency table and its default group handle) is built on first use and
+kept on the graph: it lives exactly as long as the graph, and no module cache
+holds graphs.
 """
 
 from __future__ import annotations

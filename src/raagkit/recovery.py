@@ -393,9 +393,6 @@ class FiniteTableGroup:
     def text(self, el: int) -> str:
         return self.names[el]
 
-    def is_identity(self, el: int) -> bool:
-        return el == self._identity
-
     def multiply(self, a: int, b: int) -> int:
         return self.table[a][b]
 

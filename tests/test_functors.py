@@ -15,9 +15,11 @@ from corpus import CORPUS, SQUARE, graph
 from raagkit import (
     ACGroupHandle,
     BaseMismatch,
+    GroupHandle,
     IdentitySymbolWarning,
     NotAHomomorphism,
     SearchSpaceTooLarge,
+    Word,
     WordSyntaxError,
     ZeroExponent,
     a_on_hom,
@@ -30,10 +32,12 @@ from raagkit import (
     ac_text,
     ac_word,
     adjacent,
+    canonical_coalgebra,
     canonical_form,
     commutation_graph,
     commutes,
     delta,
+    enumerate_elements,
     epsilon,
     equals,
     eta,
@@ -42,6 +46,7 @@ from raagkit import (
     identity_hom,
     invert,
     is_identity,
+    make_coalgebra,
     multiply,
     parse_ac_word,
     parse_word,
@@ -652,3 +657,64 @@ def test_equal_symbol_words_have_one_canonical_form_and_key(case):
     x, y = case
     assert ac_canonical(x) == ac_canonical(y)
     assert functors.ac_key(x) == functors.ac_key(y)
+
+
+# -- symbol words: canonical letters and one key per word ----------------------
+
+@st.composite
+def symbol_word_material(draw):
+    """A default handle, raw (unreduced) non-identity words as symbols, a
+    symbol word's letters over them, and a word in the vertices."""
+    g = draw(small_graphs(max_vertices=3))
+    element = small_words(g, 3).filter(lambda w: not is_identity(w))
+    pool = draw(st.lists(element, min_size=1, max_size=3))
+    letter = st.tuples(st.sampled_from(pool), st.sampled_from((1, -1, 2, -2)))
+    return (raag_of_graph(g), draw(st.lists(letter, max_size=4)),
+            draw(st.lists(letter, max_size=3)), draw(small_words(g, 4)))
+
+
+@_PROPERTY
+@given(symbol_word_material())
+def test_symbol_word_constructors_keep_canonical_letters(case):
+    h, letters, more, word = case
+    g = h.graph
+    x = ac_word(h, letters)
+    y = parse_ac_word(h, " ".join(f"[{word_text(el)}]^{exp}" for el, exp in more))
+    images = {v: ac_word(h, letters + [(parse_word(g, v), 1)]) for v in g.vertices}
+    made = [x, y, ac_concat(x, y, ac_invert(x)), ac_invert(y), ac_power(x, -3),
+            ac_canonical(ac_concat(y, x)),
+            ac_map_symbols(x, lambda el: Word(g, el.syllables + word.syllables), h),
+            canonical_coalgebra(g).apply(word), make_coalgebra(h, images).apply(word)]
+    for z in made:
+        assert all(h.canonical(el) == el for el, _ in z.letters)
+    outer = ACGroupHandle(h)
+    assert all(outer.canonical(el) == el for el, _ in delta(ac_concat(x, y)).letters)
+    # the symbols that recovery and search build their words from
+    assert all(h.canonical(el) == el for el in enumerate_elements(h, 2))
+
+
+def test_a_cached_symbol_graph_costs_no_key_or_canonical(monkeypatch):
+    g = validate_graph(["p1", "p2", "p3"], [("p1", "p2")])
+    h = raag_of_graph(g)
+    x = parse_ac_word(h, "[p1 p3] [p2]^2 [p3 p1]^-1 [p3]")
+    y = ac_canonical(x)
+    assert functors.ac_key(x) == functors.ac_key(y)
+    calls = []
+    for name in ("key", "canonical"):
+        method = getattr(GroupHandle, name)
+        monkeypatch.setattr(GroupHandle, name, lambda self, el, name=name, method=method:
+                            calls.append(name) or method(self, el))
+    assert functors.ac_key(x) == functors.ac_key(y)
+    assert ac_equals(x, y)
+    assert not ac_equals(x, ac_invert(y))
+    assert calls == []
+
+
+def test_default_handle_is_kept_on_its_graph():
+    g = validate_graph(["q1", "q2", "q3"], [("q1", "q2")])
+    assert raag_of_graph(g) is raag_of_graph(g)
+    assert canonical_coalgebra(g).group is raag_of_graph(g)
+    graph_ref, handle_ref = weakref.ref(g), weakref.ref(raag_of_graph(g))
+    del g
+    gc.collect()
+    assert graph_ref() is None and handle_ref() is None
