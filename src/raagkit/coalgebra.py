@@ -4,8 +4,12 @@ A structure map assigns to each exposed generator of a group a symbol word,
 extends multiplicatively, and is a coalgebra when three axioms hold: it is a
 homomorphism into the symbol group, multiplying each image out returns the
 generator (counit), and rewrapping symbols agrees with pushing the map inside
-them (coassociativity).  A cohomomorphism between two structured groups is a
-group homomorphism that intertwines the structure maps.
+them (coassociativity).  Given the counit, coassociativity is c(g) = [g] for
+every letter [g] of each canonical image, the test recovery reads vertices by:
+equal reduced words in a graph group use the same generators, so c permutes
+those symbols, and the counit makes the permutation the identity.  So no check
+builds symbol words over symbol words.  A cohomomorphism between two
+structured groups is a group homomorphism that intertwines the structure maps.
 
 A structure map is that homomorphism (``CoalgebraMap`` is a ``GroupHom``), so
 it and relators are multiplied out by ``functors._evaluate``, which freely
@@ -25,12 +29,11 @@ from .functors import (
     GroupHom,
     GraphHom,
     _evaluate,
+    ac_canonical,
     ac_equals,
-    ac_map_symbols,
     ac_on_hom,
     ac_text,
     ac_word,
-    delta,
     epsilon,
     parse_ac_word,
     raag_of_graph,
@@ -133,23 +136,19 @@ def _counit_holds(c: CoalgebraMap) -> tuple[bool, str | None]:
     return True, None
 
 
+def _fixes_symbol(c: CoalgebraMap, el) -> bool:
+    """c(el) = [el], for a canonical element el.  Goes through the public
+    ``apply_structure``, which the benchmark tracer counts."""
+    return ac_equals(apply_structure(c, el), ACWord(c.group, ((el, 1),)))
+
+
 def _coassociativity_holds(c: CoalgebraMap) -> tuple[bool, str | None]:
-    group = c.group
-    outer = ACGroupHandle(group)
-    for name, _ in group.generator_items():
-        img = c.image_of(name)
-        lhs = delta(img)
-        rhs = ac_map_symbols(img, lambda g: apply_structure(c, g), outer)
-        if not ac_equals(lhs, rhs):
+    # Canonical, not stored, letters: [s] cancels from [s] [v] [s]^-1.
+    for name, _ in c.group.generator_items():
+        letters = ac_canonical(c.image_of(name)).letters
+        if not all(_fixes_symbol(c, el) for el, _ in letters):
             return False, name
     return True, None
-
-
-def _require_homomorphism(c: CoalgebraMap) -> None:
-    ok, witness = is_homomorphism_to_acg(c)
-    if not ok:
-        raise NotAHomomorphism(
-            f"images at edge {witness} do not commute", witness=witness)
 
 
 def check_counit(c: CoalgebraMap) -> tuple[bool, str | None]:
@@ -158,13 +157,19 @@ def check_counit(c: CoalgebraMap) -> tuple[bool, str | None]:
     The structure map must already be a homomorphism; an edge whose images
     fail to commute is an error here, not a false verdict.
     """
-    _require_homomorphism(c)
+    ok, witness = is_homomorphism_to_acg(c)
+    if not ok:
+        raise NotAHomomorphism(
+            f"images at edge {witness} do not commute", witness=witness)
     return _counit_holds(c)
 
 
 def check_coassociativity(c: CoalgebraMap) -> tuple[bool, str | None]:
-    """Rewrapping symbols must agree with mapping the structure inside them."""
-    _require_homomorphism(c)
+    """Rewrapping symbols must agree with mapping the structure inside them;
+    a map that is not a homomorphism or fails the counit raises instead."""
+    ok, witness = check_counit(c)
+    if not ok:
+        raise NotACoalgebra(f"counit failed at {witness}")
     return _coassociativity_holds(c)
 
 

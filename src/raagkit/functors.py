@@ -10,15 +10,15 @@ commute exactly when ``g`` and ``h`` commute in the base group.  A letter is
 held as (canonical element, exponent).  That group is never materialized;
 every computation is localized to the finite commutation graph spanned by the
 symbols actually in play.  ``ACGroupHandle`` makes the construction iterable,
-so symbol words over symbol words (as needed by the coassociativity
-diagnostics) run through the same code path.  Every symbol word reaches its
-commutation graph through ``_symbol_graph``, which finds it by the set of the
-word's canonical symbols in one bounded cache; a new graph keys and names each
-symbol once and orders them by a key of the symbol alone.  ``ac_canonical``,
-``ac_key`` and ``ac_equals`` all read one canonical form, computed on the
-word's own graph.  What derives from a handle alone, such as the vertex
-expressions of an obfuscated one, is kept on it, and a graph keeps its default
-handle.
+so symbol words over symbol words (built by the public ``delta``; no axiom
+check needs them) run through the same code path.  Every symbol word reaches
+its commutation graph through ``_symbol_graph``, which finds it by the set of
+the word's canonical symbols in one bounded cache; a new graph keys and names
+each symbol once and orders them by a key of the symbol alone.
+``ac_canonical``, ``ac_key`` and ``ac_equals`` all read one canonical form,
+computed on the word's own graph.  What derives from a handle alone, such as
+the vertex expressions of an obfuscated one, is kept on it, and a graph keeps
+its default handle.
 
 Words in generators are multiplied out by one evaluator, ``_evaluate``: it
 powers each (element, k) factor by squaring and canonicalizes once.  Homs,
@@ -87,9 +87,6 @@ class GroupHandle:
     def generator_items(self) -> tuple[tuple[str, Word], ...]:
         return self.exposed
 
-    def generator_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.exposed)
-
     # -- element operations -------------------------------------------------
 
     def identity(self) -> Word:
@@ -135,16 +132,6 @@ class GroupHandle:
             object.__setattr__(self, "_vertex_expressions", exprs)
         return tuple((exprs[s.gen], s.exp) for s in el.syllables)
 
-    def rewrite_in_generators(self, el: Word) -> tuple[tuple[str, int], ...]:
-        """Express an element as (exposed name, exponent) factors: each run
-        spelled out k-fold, or raised in place if its expression is one factor."""
-        out: list[tuple[str, int]] = []
-        for expr, k in self.runs(el):
-            if k < 0:
-                expr, k = tuple((n, -e) for n, e in reversed(expr)), -k
-            out.extend(expr * k if len(expr) > 1 else [(expr[0][0], expr[0][1] * k)])
-        return tuple(out)
-
 
 def raag_of_graph(graph: Graph) -> GroupHandle:
     """The default handle: one exposed generator per vertex, kept on the graph."""
@@ -171,7 +158,7 @@ def handle_with_generators(graph: Graph,
         if isinstance(el, str):
             el = W.parse_word(graph, el)
         el = W.canonical_form(el)
-        if el.is_identity_word():
+        if not el.syllables:
             raise ZeroExponent(f"exposed generator {name!r} is the identity")
         exposed.append((name, el))
     if len({n for n, _ in exposed}) != len(exposed):
@@ -282,7 +269,7 @@ class GroupHom:
 def group_hom(source: GroupHandle, target: GroupHandle,
               images: Mapping[str, Union[Word, str]]) -> GroupHom:
     """Validate generator images against the source's defining relations."""
-    names = source.generator_names()
+    names = [name for name, _ in source.generator_items()]
     if set(images) != set(names):
         raise UnknownGenerator("images must cover exactly the exposed generators")
     pairs = []

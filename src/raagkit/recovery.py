@@ -1,11 +1,13 @@
 """Recovering the presentation graph from a structured group.
 
 Vertices are found among enumerated elements as exactly those g whose image
-under the structure map is the single symbol [g]; how many to look for is the
-rank of the abelianization, computed from a finite presentation via an exact
-integer Smith normal form.  Adjacency between recovered vertices is commuting.
-A search that runs out of budget raises or returns accordingly: exhaustion is
-a statement about the budget, never about nonexistence.
+under the structure map is the single symbol [g], by the fixed-symbol test
+that also decides coassociativity (``coalgebra._fixes_symbol``); how many to
+look for is the rank of the abelianization, computed from a finite
+presentation via an exact integer Smith normal form.  Adjacency between
+recovered vertices is commuting.  A search that runs out of budget raises or
+returns accordingly: exhaustion is a statement about the budget, never about
+nonexistence.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import words as W
-from .coalgebra import CoalgebraMap, apply_structure, check_coalgebra
+from .coalgebra import CoalgebraMap, _fixes_symbol, check_coalgebra
 from .errors import (
     BudgetExhausted,
     UnknownGenerator,
@@ -25,7 +27,6 @@ from .functors import (
     ACWord,
     _normalize_letters,
     _spheres,
-    ac_equals,
     ac_key,
     ac_text,
     commutation_graph,
@@ -205,11 +206,6 @@ def enumerate_elements(group, max_length: int) -> Iterator:
 # Vertex recovery
 # ---------------------------------------------------------------------------
 
-def _is_vertex_like(c: CoalgebraMap, el) -> bool:
-    target = ACWord(c.group, ((el, 1),))
-    return ac_equals(apply_structure(c, el), target)
-
-
 def find_vertices(c: CoalgebraMap, rank: int, max_length: int) -> list:
     """The first ``rank`` non-identity elements fixed as single symbols by the
     structure map.  Raises BudgetExhausted if the ball runs out first."""
@@ -217,7 +213,7 @@ def find_vertices(c: CoalgebraMap, rank: int, max_length: int) -> list:
     for el, depth in _elements_with_depth(c.group, max_length):
         if depth == 0:
             continue
-        if _is_vertex_like(c, el):
+        if _fixes_symbol(c, el):
             found.append(el)
             if len(found) == rank:
                 return found
@@ -426,6 +422,3 @@ class FiniteTableGroup:
 
     def runs(self, el: int):
         return ((self._expressions[el], 1),)
-
-    def rewrite_in_generators(self, el: int):
-        return self._expressions[el]

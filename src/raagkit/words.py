@@ -54,9 +54,6 @@ class Word:
         """Total letter length: the sum of absolute exponents."""
         return sum(abs(s.exp) for s in self.syllables)
 
-    def is_identity_word(self) -> bool:
-        return not self.syllables
-
 
 @dataclass(frozen=True)
 class CentralForm:

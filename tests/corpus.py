@@ -1,4 +1,4 @@
-"""Shared small-graph corpus for the test suite."""
+"""Shared small-graph corpus and helpers for the test suite."""
 
 from raagkit import validate_graph
 
@@ -26,3 +26,15 @@ CORPUS = {
 }
 
 SQUARE = CORPUS["square"]
+
+
+def in_generators(group, el):
+    """A reference rewrite of el as (exposed name, exponent) factors, read off
+    ``group.runs``: each run spelled out k-fold, or raised in place if its
+    expression is one factor."""
+    out = []
+    for expr, k in group.runs(el):
+        if k < 0:
+            expr, k = tuple((n, -e) for n, e in reversed(expr)), -k
+        out.extend(expr * k if len(expr) != 1 else [(expr[0][0], expr[0][1] * k)])
+    return tuple(out)

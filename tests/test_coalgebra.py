@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import CORPUS, SQUARE, graph
@@ -14,13 +14,16 @@ from raagkit import (
     a_on_hom,
     ac_concat,
     ac_equals,
+    ac_map_symbols,
     ac_text,
+    adjacent,
     apply_structure,
     canonical_coalgebra,
     check_coalgebra,
     check_coassociativity,
     check_counit,
     cohom_to_graph_hom,
+    delta,
     group_hom,
     handle_with_generators,
     is_cohomomorphism,
@@ -123,6 +126,11 @@ def test_coassociativity_failure():
     assert verdict.describe() == "coassociativity failed at v"
 
 
+def test_a_symbol_cancelling_from_the_image_need_not_be_fixed():
+    # c(v^3) = [v]^3 is not [v^3], but [v^3] cancels from the canonical image
+    assert check_coalgebra(coalg(HV, {"v": "[v^3] [v] [v^3]^-1"})).describe() == "coalgebra"
+
+
 def test_transported_structure_is_still_a_coalgebra():
     # v -> [v^-1]^-1 is the canonical structure pushed through the
     # automorphism v -> v^-1; every axiom survives the transport
@@ -137,6 +145,11 @@ def test_direct_axiom_checks_demand_a_homomorphism():
         check_counit(bad)
     with pytest.raises(NotAHomomorphism):
         check_coassociativity(bad)
+
+
+def test_coassociativity_check_demands_the_counit():
+    with pytest.raises(NotACoalgebra, match="counit failed at v"):
+        check_coassociativity(coalg(HV, {"v": "[v^2]"}))
 
 
 def count_axiom_runs(monkeypatch) -> list:
@@ -369,3 +382,56 @@ def test_apply_structure_is_multiplicative(case):
     c, g, h = case
     assert ac_equals(apply_structure(c, multiply(g, h)),
                      ac_concat(apply_structure(c, g), apply_structure(c, h)))
+
+
+def nested_coassociativity(c) -> tuple[bool, str | None]:
+    """Reference check of the axiom as its square reads: delta(c(x)) against c
+    pushed inside the symbols of c(x), both words over symbol words."""
+    outer = ACGroupHandle(c.group)
+    for name, _ in c.group.generator_items():
+        img = c.image_of(name)
+        if not ac_equals(delta(img), ac_map_symbols(img, c.apply, outer)):
+            return False, name
+    return True, None
+
+
+# Words in symbols [v^e] that multiply out to v.  A structure map fixes every
+# symbol of v's image exactly when v's core is one of the first two.
+_COUNITAL_CORES = ("[{v}]", "[{v}^-1]^-1", "[{v}^2] [{v}^-1]", "[{v}^-1] [{v}^2]",
+                   "[{v}^3] [{v}^-1]^2", "[{v}^2]^-1 [{v}^3]")
+
+
+@st.composite
+def counital_structures(draw):
+    """A homomorphism into the symbol group that passes the counit: each
+    vertex v of a default handle, or y = b on the obfuscated square, goes to
+    [s]^k core [s]^-k, with core one of the words above and s commuting with
+    v.  Every symbol of the core is a power of v, so images of commuting
+    generators commute, and [s] cancels from the canonical image."""
+    if draw(st.booleans()):
+        handle, images, varied = OBFUSCATED, dict(OB_IMAGES), {"y": "b"}
+    else:
+        g = draw(st.sampled_from([CORPUS[n] for n in ("one", "k2", "p3", "square", "paw")]))
+        handle, images, varied = raag_of_graph(g), {}, {v: v for v in g.vertices}
+    g = handle.graph
+    for name, v in varied.items():
+        core = draw(st.sampled_from(_COUNITAL_CORES)).format(v=v)
+        s = draw(st.sampled_from([f"{v}^2", f"{v}^-1"] + [
+            t for u in g.vertices if u != v and adjacent(g, u, v) for t in (u, f"{u}^-1 {v}")]))
+        k = draw(st.sampled_from((0, 1, -1, 2)))
+        images[name] = f"[{s}]^{k} {core} [{s}]^{-k}" if k else core
+    return coalg(handle, images)
+
+
+@_PROPERTY
+@given(counital_structures())
+@example(coalg(HV, {"v": "[v^2] [v^-1]"}))
+@example(coalg(raag_of_graph(SQUARE), {"a": "[b]^2 [a^-1]^-1 [b]^-2", "b": "[b]",
+                                       "c": "[c]", "d": "[a^-1 d] [d] [a^-1 d]^-1"}))
+def test_fixed_symbol_check_agrees_with_the_nested_comparison(c):
+    assert check_counit(c) == (True, None)
+    ok, witness = nested_coassociativity(c)
+    verdict = check_coalgebra(c)
+    assert (verdict.ok, verdict.witness) == (ok, witness)
+    assert verdict.failed == (None if ok else "coassociativity")
+    assert check_coassociativity(c) == (ok, witness)
