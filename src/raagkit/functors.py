@@ -18,7 +18,8 @@ each symbol once and orders them by a key of the symbol alone.
 ``ac_canonical``, ``ac_key`` and ``ac_equals`` all read one canonical form,
 computed on the word's own graph.  What derives from a handle alone, such as
 the vertex expressions of an obfuscated one, is kept on it, and a graph keeps
-its default handle.
+its default handle.  One lazy breadth-first search, ``_spheres``, enumerates
+elements, so a caller stops at the last one it needs.
 
 Words in generators are multiplied out by one evaluator, ``_evaluate``: it
 powers each (element, k) factor by squaring and canonicalizes once.  Homs,
@@ -28,6 +29,7 @@ powers each (element, k) factor by squaring and canonicalizes once.  Homs,
 
 from __future__ import annotations
 
+import collections
 import functools
 import re
 import warnings
@@ -166,48 +168,51 @@ def handle_with_generators(graph: Graph,
     return GroupHandle(graph, tuple(exposed))
 
 
-def _spheres(group, steps):
-    """Breadth-first search from the identity: yield the sphere of each radius
-    in turn, as a list of (element, key, expression) in discovery order.
+def _spheres(group, steps, radius=None):
+    """Breadth-first search from the identity, lazily: yield each (element,
+    key, expression) as soon as it is found, sphere by sphere.  An element's
+    depth is the length of its expression; none of depth ``radius`` expands.
 
     ``steps`` lists (name, element, sign) moves, tried in that order from each
     element of the previous sphere; an element's expression is the sequence of
     (name, sign) moves along the first path that reached it.
     """
     ident = group.identity()
-    sphere = [(ident, group.key(ident), ())]
-    seen = {sphere[0][1]}
-    while sphere:
-        yield sphere
-        nxt = []
-        for el, _, expr in sphere:
-            for name, step, sign in steps:
-                nel = group.multiply(el, step)
-                k = group.key(nel)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append((nel, k, expr + ((name, sign),)))
-        sphere = nxt
+    queue = collections.deque([(ident, group.key(ident), ())])
+    seen = {queue[0][1]}
+    yield queue[0]
+    while queue:
+        el, _, expr = queue.popleft()
+        if radius is not None and len(expr) >= radius:
+            return
+        for name, step, sign in steps:
+            nel = group.multiply(el, step)
+            k = group.key(nel)
+            if k not in seen:
+                seen.add(k)
+                queue.append((nel, k, expr + ((name, sign),)))
+                yield queue[-1]
 
 
 def _vertex_expressions(handle: GroupHandle) -> dict[str, tuple[tuple[str, int], ...]]:
+    """The first expression of each vertex, searching no further than the last."""
     graph = handle.graph
     wanted = {W.canonical_key(Word(graph, (W.Syllable(v, 1),))): v
               for v in graph.vertices}
     found: dict[str, tuple[tuple[str, int], ...]] = {}
     steps = [(name, el, 1) for name, el in handle.exposed]
     steps += [(name, W.invert(el), -1) for name, el in handle.exposed]
-    states = 0
-    for radius, sphere in enumerate(_spheres(handle, steps)):
-        for _, k, expr in sphere:
-            v = wanted.get(k)
-            if v is not None:
-                found[v] = expr
-        if len(found) == len(wanted):
-            return found
-        states += len(sphere)
-        if radius == _EXPRESSION_RADIUS_CAP or states > _EXPRESSION_STATE_CAP:
-            break
+    depth = 0
+    for states, (_, k, expr) in enumerate(_spheres(handle, steps, _EXPRESSION_RADIUS_CAP)):
+        if len(expr) > depth:  # the sphere of radius depth is complete
+            if states > _EXPRESSION_STATE_CAP:
+                break
+            depth = len(expr)
+        v = wanted.get(k)
+        if v is not None:
+            found[v] = expr
+            if len(found) == len(wanted):
+                return found
     missing = sorted(set(graph.vertices) - set(found))
     raise SearchSpaceTooLarge(
         f"could not express vertices {missing} in the exposed generators"
@@ -247,11 +252,20 @@ class GroupHom:
             raise UnknownGenerator(f"no exposed generator {name!r}") from None
 
     def _noncommuting_edge(self) -> tuple[str, str] | None:
-        """The first source edge whose vertex images do not commute, if any."""
+        """The first source edge whose vertex images do not commute, if any.
+        Into the symbol group, all are decided on one graph over their symbols:
+        vertices generate the graph group of the graph they span (Charney)."""
         graph = self.source.graph
-        for u, v in graph.sorted_edges():
-            fu, fv = (self.apply(Word(graph, (W.Syllable(x, 1),))) for x in (u, v))
-            if not self.target.commutes(fu, fv):
+        edges = graph.sorted_edges()
+        image = {x: self.apply(Word(graph, (W.Syllable(x, 1),)))
+                 for x in sorted({x for edge in edges for x in edge})}
+        commutes = self.target.commutes
+        if edges and isinstance(self.target, ACGroupHandle):
+            _, _, words = _symbol_graph(self.target.base, [a.letters for a in image.values()])
+            image = dict(zip(image, words))
+            commutes = W.commutes
+        for u, v in edges:
+            if not commutes(image[u], image[v]):
                 return u, v
         return None
 
@@ -419,16 +433,19 @@ def ac_map_symbols(a: ACWord, fn: Callable, new_base) -> ACWord:
 # Commutation graphs and equality
 # ---------------------------------------------------------------------------
 
-def _symbol_graph(base, elements) -> tuple[Graph, dict, list[str]]:
-    """The commutation graph on the distinct elements, a map from its vertex
-    names to (element, key), and the vertex name of each element in turn.
-    The elements must be canonical, as a symbol word's letters are (``ac_word``
-    and ``parse_ac_word`` make them so): the graph is found by the set of
-    them, so a cached one costs no key, no canonical form and no sort.  It
-    lists its vertices in symbol order (see ``_named_commutation_graph``),
-    which is name order unless two texts share a plain name."""
-    graph, by_name, name_of = _named_commutation_graph(base, frozenset(elements))
-    return graph, by_name, [name_of[el] for el in elements]
+def _symbol_graph(base, words) -> tuple[Graph, dict, list[Word]]:
+    """The commutation graph on the distinct symbols of the given words, each
+    a sequence of (element, exponent) letters, a map from its vertex names to
+    (element, key), and each word spelled on that graph.  The elements must be
+    canonical, as a symbol word's letters are (``ac_word`` and
+    ``parse_ac_word`` make them so): the graph is found by the set of them,
+    so a cached one costs no key, no canonical form and no sort.  It lists
+    its vertices in symbol order (see ``_named_commutation_graph``), which is
+    name order unless two texts share a plain name."""
+    graph, by_name, name_of = _named_commutation_graph(
+        base, frozenset(el for word in words for el, _ in word))
+    return graph, by_name, [Word(graph, tuple(W.Syllable(name_of[el], exp) for el, exp in word))
+                            for word in words]
 
 
 # Localized commutation graphs, keyed by the base and the set of canonical
@@ -479,10 +496,8 @@ def _canonical_letters(a: ACWord) -> tuple:
     the word's own symbol graph."""
     if not a.letters:
         return ()
-    graph, by_name, names = _symbol_graph(a.base, [el for el, _ in a.letters])
-    canon = W.canonical_form(Word(graph, tuple(
-        W.Syllable(name, exp) for name, (_, exp) in zip(names, a.letters))))
-    return tuple((by_name[s.gen], s.exp) for s in canon.syllables)
+    _, by_name, (word,) = _symbol_graph(a.base, [a.letters])
+    return tuple((by_name[s.gen], s.exp) for s in W.canonical_form(word).syllables)
 
 
 def ac_equals(a: ACWord, b: ACWord) -> bool:
@@ -528,9 +543,9 @@ def ac_on_hom(f: GroupHom, a: ACWord) -> ACWord:
 
 def eta(graph: Graph) -> GraphHom:
     """Embed a graph into the commutation graph of its one-letter generators."""
-    gens = [Word(graph, (W.Syllable(v, 1),)) for v in graph.vertices]
-    cg, _, names = _symbol_graph(raag_of_graph(graph), gens)
-    return validate_hom(graph, cg, dict(zip(graph.vertices, names)))
+    gens = [((Word(graph, (W.Syllable(v, 1),)), 1),) for v in graph.vertices]
+    cg, _, words = _symbol_graph(raag_of_graph(graph), gens)
+    return validate_hom(graph, cg, {v: w.syllables[0].gen for v, w in zip(graph.vertices, words)})
 
 
 # ---------------------------------------------------------------------------

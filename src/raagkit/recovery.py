@@ -1,18 +1,20 @@
 """Recovering the presentation graph from a structured group.
 
-Vertices are found among enumerated elements as exactly those g whose image
-under the structure map is the single symbol [g], by the fixed-symbol test
-that also decides coassociativity (``coalgebra._fixes_symbol``); how many to
-look for is the rank of the abelianization, computed from a finite
-presentation via an exact integer Smith normal form.  Adjacency between
-recovered vertices is commuting.  A search that runs out of budget raises or
-returns accordingly: exhaustion is a statement about the budget, never about
-nonexistence.
+Vertices are the g whose image under the structure map is the single symbol
+[g], by the fixed-symbol test that also decides coassociativity
+(``coalgebra._fixes_symbol``).  Such a [g] is a letter of some image, so
+vertices are read from the image symbols, each at the depth where the lazy
+enumerator ``functors._spheres`` first meets it.  How many to look for is
+the rank of the abelianization, computed from a finite presentation via an
+exact integer Smith normal form.  Adjacency between recovered vertices is
+commuting.  A search that runs out of budget raises or returns accordingly:
+exhaustion is a statement about the budget, never about nonexistence.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -185,21 +187,23 @@ def commutator_presentation(graph: Graph) -> FinitePresentation:
 # Element enumeration
 # ---------------------------------------------------------------------------
 
+def _moves(group) -> list:
+    """Each exposed generator, then its inverse, as ``_spheres`` steps."""
+    return [step for name, el in group.generator_items()
+            for step in ((name, el, 1), (name, group.invert(el), -1))]
+
+
 def _elements_with_depth(group, max_length: int) -> Iterator[tuple[object, int]]:
-    steps = [step for name, el in group.generator_items()
-             for step in ((name, el, 1), (name, group.invert(el), -1))]
-    for depth, sphere in enumerate(_spheres(group, steps)):
+    found = _spheres(group, _moves(group), max_length)
+    for depth, sphere in itertools.groupby(found, key=lambda f: len(f[2])):
         for el in sorted((el for el, _, _ in sphere), key=group.sort_key):
             yield el, depth
-        if depth >= max_length:
-            return
 
 
 def enumerate_elements(group, max_length: int) -> Iterator:
     """Distinct elements writable as at most ``max_length`` exposed-generator
     factors, identity first, then per length in deterministic order."""
-    for el, _ in _elements_with_depth(group, max_length):
-        yield el
+    return (el for el, _ in _elements_with_depth(group, max_length))
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +211,29 @@ def enumerate_elements(group, max_length: int) -> Iterator:
 # ---------------------------------------------------------------------------
 
 def find_vertices(c: CoalgebraMap, rank: int, max_length: int) -> list:
-    """The first ``rank`` non-identity elements fixed as single symbols by the
-    structure map.  Raises BudgetExhausted if the ball runs out first."""
+    """The first ``rank`` non-identity elements of the ball of radius
+    ``max_length``, in enumeration order, fixed as single symbols by the
+    structure map; BudgetExhausted if there are fewer.  Only image symbols
+    are tested: c(g) is a product of images, and a reduced word's generators
+    occur in every word for it (Charney 2007), so c(g) = [g] makes [g] one of
+    their letters, whatever the map."""
+    group = c.group
+    symbols = {group.key(el) for _, image in c.images for el, _ in image.letters}
+    symbols.discard(group.key(group.identity()))
+    met = {}
+    for el, k, expr in _spheres(group, _moves(group), max_length):
+        if k in symbols:
+            met[k] = (len(expr), group.sort_key(el), el)
+        if len(met) == len(symbols):
+            break
     found = []
-    for el, depth in _elements_with_depth(c.group, max_length):
-        if depth == 0:
-            continue
+    for _, _, el in sorted(met.values(), key=lambda m: m[:2]):
+        if len(found) == rank:
+            break
         if _fixes_symbol(c, el):
             found.append(el)
-            if len(found) == rank:
-                return found
+    if len(found) == rank:
+        return found
     raise BudgetExhausted(
         f"found {len(found)} of {rank} vertices within length {max_length}",
         found=len(found), wanted=rank,
@@ -365,10 +382,7 @@ class FiniteTableGroup:
         if any(v is None for v in self._inverse):
             raise ValueError("table has a non-invertible element")
         self.generators = list(generators)
-        steps = [step for name, g in self.generators
-                 for step in ((name, g, 1), (name, self._inverse[g], -1))]
-        self._expressions = {el: expr for sphere in _spheres(self, steps)
-                             for el, _, expr in sphere}
+        self._expressions = {el: expr for el, _, expr in _spheres(self, _moves(self))}
         if len(self._expressions) != n:
             raise ValueError("generators do not generate the table group")
 

@@ -10,6 +10,8 @@ import json
 import random
 import time
 
+import pytest
+
 from corpus import CORPUS, SQUARE, graph
 from raagkit import (
     ACGroupHandle,
@@ -99,6 +101,7 @@ def test_criterion_1(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_2():
     """Word equality agrees with a brute-force rewriting oracle on about a
     million checks over four graphs.
@@ -153,6 +156,7 @@ def stack_model(seq):
     return tuple((g, e) for g, e in merged)
 
 
+@pytest.mark.slow
 def test_criterion_3():
     """Canonical forms realize the two structural models exhaustively to
     length 6: exponent vectors over complete graphs, free reduction over
@@ -204,6 +208,7 @@ def random_images(rng, src, dst):
     return images
 
 
+@pytest.mark.slow
 def test_criterion_5():
     """Structure-respecting homomorphisms are exactly the images of vertex
     maps.  Soundness: every enumerated vertex map is accepted and found again

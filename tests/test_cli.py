@@ -189,6 +189,17 @@ def test_recover_reports_budget_exhaustion(write_json, capsys):
     assert "found 3 of 4" in capsys.readouterr().err
 
 
+def test_recover_trivial_group(write_json, capsys):
+    c = write_json("c.json", {"group": {"vertices": [], "edges": []}, "images": {}})
+    assert main(["check-coalgebra", "--coalg", c]) == 0
+    assert capsys.readouterr().out.strip() == "coalgebra"
+    assert main(["recover", "--coalg", c]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"vertices": [], "edges": []}
+    assert "rank 0" in captured.err
+    assert "found" not in captured.err
+
+
 def test_recover_obfuscated_handle(write_json, capsys):
     c = write_json("c.json", OBFUSCATED_COALG)
     assert main(["recover", "--coalg", c]) == 0

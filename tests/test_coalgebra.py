@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, SQUARE, graph
+from corpus import CORPUS, SQUARE, graph, structure_maps
 from raagkit import (
     ACGroupHandle,
     EndsMismatch,
@@ -106,6 +106,23 @@ def test_homomorphism_check_with_witness():
     assert witness == ("a", "b")
     verdict = check_coalgebra(bad)
     assert verdict.describe() == "homomorphism failed at (a,b)"
+
+
+def test_homomorphism_witness_is_the_first_failing_edge_in_sorted_order():
+    # edges (a,b) (a,d) (b,c) (c,d); the images fail on (a,d) and (c,d)
+    h = raag_of_graph(SQUARE)
+    c = coalg(h, {"a": "[a]", "b": "[b]", "c": "[a]", "d": "[c]"})
+    assert is_homomorphism_to_acg(c) == (False, ("a", "d"))
+    reversed_square = validate_graph(["d", "c", "b", "a"], SQUARE.edges)
+    c = coalg(raag_of_graph(reversed_square), {"a": "[a]", "b": "[b]", "c": "[a]", "d": "[c]"})
+    assert is_homomorphism_to_acg(c) == (False, ("a", "d"))
+
+
+def test_edgeless_graph_over_a_non_generating_handle_still_checks():
+    h = handle_with_generators(CORPUS["delta2"], {"x": "a", "y": "b^2"})
+    c = coalg(h, {"x": "[a]", "y": "[b]"})
+    assert is_homomorphism_to_acg(c) == (True, None)
+    assert check_coalgebra(c).describe() == "counit failed at y"
 
 
 def test_homomorphism_check_is_only_about_commuting():
@@ -435,3 +452,22 @@ def test_fixed_symbol_check_agrees_with_the_nested_comparison(c):
     assert (verdict.ok, verdict.witness) == (ok, witness)
     assert verdict.failed == (None if ok else "coassociativity")
     assert check_coassociativity(c) == (ok, witness)
+
+
+def per_edge_noncommuting_edge(c):
+    """Reference homomorphism check: each sorted edge's vertex images compared
+    by ``ACGroupHandle.commutes``, on the symbol graph of that pair alone."""
+    g = c.group.graph
+    for u, v in g.sorted_edges():
+        fu, fv = (c.apply(parse_word(g, x)) for x in (u, v))
+        if not c.target.commutes(fu, fv):
+            return u, v
+    return None
+
+
+@_PROPERTY
+@given(structure_maps())
+def test_one_symbol_graph_decides_every_edge_as_the_pairs_do(c):
+    expected = per_edge_noncommuting_edge(c)
+    assert c._noncommuting_edge() == expected
+    assert is_homomorphism_to_acg(c) == (expected is None, expected)

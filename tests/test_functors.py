@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import raagkit
 
-from corpus import CORPUS, SQUARE, graph, in_generators
+from corpus import CORPUS, SQUARE, disguised_handle, graph, in_generators
 from raagkit import (
     ACGroupHandle,
     BaseMismatch,
@@ -112,8 +112,75 @@ def test_obfuscated_rewrite_keeps_first_expression_found():
 
 def test_rewrite_fails_when_generators_do_not_generate():
     h = handle_with_generators(ONE_V, {"x": "v^2"})
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=r"could not express vertices \['v'\] in the exposed generators"):
         in_generators(h, parse_word(ONE_V, "v"))
+
+
+class CountingHandle:
+    """A handle that counts its multiplies."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.multiplies = 0
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def multiply(self, a, b):
+        self.multiplies += 1
+        return self.handle.multiply(a, b)
+
+
+def whole_sphere_expressions(handle):
+    """Reference vertex expressions: breadth first over all exposed generators,
+    then all their inverses, one whole sphere at a time, keeping the first
+    expression found for each vertex and stopping after the sphere that holds
+    the last one.  Returns the expressions, the multiplies made, and the
+    multiplies made when the last vertex was first reached."""
+    g = handle.graph
+    wanted = {canonical_form(parse_word(g, v)): v for v in g.vertices}
+    steps = [(n, el, 1) for n, el in handle.exposed]
+    steps += [(n, invert(el), -1) for n, el in handle.exposed]
+    sphere, seen = [(handle.identity(), ())], {handle.identity()}
+    found, multiplies, at_last = {}, 0, None
+    while len(found) < len(wanted):
+        nxt = []
+        for el, expr in sphere:
+            for name, step, sign in steps:
+                multiplies += 1
+                nel = multiply(el, step)
+                if nel not in seen:
+                    seen.add(nel)
+                    nxt.append((nel, expr + ((name, sign),)))
+                    if nel in wanted:
+                        found[wanted[nel]] = nxt[-1][1]
+                        if len(found) == len(wanted):
+                            at_last = multiplies
+        sphere = nxt
+    return found, multiplies, at_last
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_vertex_expressions_stop_at_the_last_vertex(name):
+    handle = disguised_handle(CORPUS[name])
+    expected, whole, at_last = whole_sphere_expressions(handle)
+    counted = CountingHandle(handle)
+    assert functors._vertex_expressions(counted) == expected
+    assert counted.multiplies == at_last
+    # one vertex, exposed as v^-1, is the last element of the first sphere
+    assert counted.multiplies < whole or name == "one"
+
+
+def test_expression_state_cap_is_checked_as_each_sphere_completes(monkeypatch):
+    # b = y x^-1 lies in the sphere of radius 2; radii 0 and 1 hold 5 elements
+    h = handle_with_generators(CORPUS["delta2"], {"x": "a", "y": "b a"})
+    monkeypatch.setattr(functors, "_EXPRESSION_STATE_CAP", 4)
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=r"could not express vertices \['b'\] in the exposed generators"):
+        functors._vertex_expressions(h)
+    monkeypatch.setattr(functors, "_EXPRESSION_STATE_CAP", 5)
+    assert functors._vertex_expressions(h)["b"] == (("y", 1), ("x", -1))
 
 
 # -- induced homomorphisms ---------------------------------------------------

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corpus import CORPUS, SQUARE, graph, in_generators
+from corpus import CORPUS, SQUARE, disguised_handle, graph, in_generators, structure_maps
 from raagkit import (
+    ACWord,
     BudgetExhausted,
     FiniteTableGroup,
     UnknownGenerator,
@@ -31,6 +34,7 @@ from raagkit import (
     validate_matrix,
     word_text,
 )
+from raagkit.coalgebra import _fixes_symbol
 from raagkit.fileio import graph_data
 
 OBFUSCATED_RELATORS = [
@@ -163,6 +167,17 @@ def test_find_vertices_budget_exhausted():
     assert info.value.wanted == 5
 
 
+def test_find_vertices_of_the_trivial_group():
+    c = canonical_coalgebra(graph(""))
+    for radius in (0, 2):
+        assert find_vertices(c, 0, radius) == []
+    recovered, labeling = recover_graph(c, 0, 2)
+    assert graph_data(recovered) == {"vertices": [], "edges": []}
+    assert labeling == {}
+    # asking for nothing finds nothing, on any group
+    assert find_vertices(canonical_coalgebra(SQUARE), 0, 2) == []
+
+
 def test_find_vertices_excludes_identity_and_duplicates():
     for name in ("one", "k3", "p3", "delta2"):
         g = CORPUS[name]
@@ -183,12 +198,8 @@ def test_recover_round_trip_small():
 
 
 def _disguised_coalgebra(g):
-    """The canonical structure on a disguised generating set: the first vertex
-    exposed as itself times the last (inverted on a one-vertex graph)."""
-    first, last = g.vertices[0], g.vertices[-1]
-    generators = {v: v for v in g.vertices}
-    generators[first] = f"{first}^-1" if first == last else f"{first} {last}"
-    handle = handle_with_generators(g, generators)
+    """The canonical structure on the corpus's disguised generating set."""
+    handle = disguised_handle(g)
     canon = canonical_coalgebra(g)
     return make_coalgebra(handle, {name: ac_text(apply_structure(canon, el))
                                    for name, el in handle.generator_items()})
@@ -203,6 +214,33 @@ def test_recover_graph_pinned_on_corpus(name):
         assert list(labeling) == list(g.vertices)
         assert {v: word_text(el) for v, el in labeling.items()} == \
             {v: v for v in g.vertices}
+
+
+def ball_vertices(c, rank, radius):
+    """Reference vertex search: every non-identity element of the ball, in
+    enumeration order, tested with the fixed-symbol predicate.  Returns the
+    first ``rank`` fixed ones, or how many were found when there are fewer."""
+    fixed = [el for el in list(enumerate_elements(c.group, radius))[1:]
+             if _fixes_symbol(c, el)]
+    return fixed[:rank] if len(fixed) >= rank else ("exhausted", len(fixed), rank)
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                     max_examples=100)
+_K2 = raag_of_graph(CORPUS["k2"])
+_A, _B = (parse_word(CORPUS["k2"], v) for v in "ab")
+
+
+@_PROPERTY
+@given(structure_maps(), st.integers(0, 3), st.integers(0, 6))
+@example(make_coalgebra(_K2, {"a": ACWord(_K2, ((_A, 1),)),
+                              "b": ACWord(_K2, ((_K2.identity(), -1), (_B, 1)))}), 1, 2)
+def test_find_vertices_agrees_with_scanning_the_ball(c, radius, rank):
+    try:
+        got = find_vertices(c, rank, radius)
+    except BudgetExhausted as exc:
+        got = ("exhausted", exc.found, exc.wanted)
+    assert got == ball_vertices(c, rank, radius)
 
 
 # -- structure-map search ----------------------------------------------------
